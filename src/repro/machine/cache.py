@@ -9,9 +9,8 @@ misses (miss in both), the standard classification the paper relies on.
 The set-associative model is on the simulator's per-reference hot path, so
 it keeps two redundant views of its contents: the per-set LRU lists that
 define replacement behaviour, and a flat ``resident`` set that answers
-membership probes in O(1).  The engine's vectorized hit filter
-(``docs/performance.md``) relies on ``resident`` and on :meth:`promote`,
-which must replay exactly the LRU effect of a :meth:`lookup` hit.
+membership probes in O(1).  The engine's fast path (``docs/performance.md``)
+probes ``resident`` and replays LRU effects on the per-set lists directly.
 
 Set selection is pluggable: by default a line maps to set
 ``(addr >> line_shift) % num_sets`` (the classic physically- or
@@ -24,6 +23,7 @@ fast path mirrors whichever indexing the cache uses (it captures the same
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Callable, Iterator, Optional
 
 from repro.machine.config import CacheConfig
@@ -56,15 +56,6 @@ class SetAssociativeCache:
         #: Flat membership view of every resident line (all sets combined).
         #: Kept exactly in sync with the per-set lists.
         self.resident: set[int] = set()
-
-    def index_of(self, line_addr: int) -> int:
-        """Which set a line-aligned address maps to."""
-        if self.index_fn is not None:
-            return self.index_fn(line_addr)
-        return (line_addr >> self._line_shift) % self._num_sets
-
-    def _set_for(self, line_addr: int) -> list[int]:
-        return self._sets[self.index_of(line_addr)]
 
     def lookup(self, line_addr: int) -> bool:
         """Probe for a line; on a hit the line becomes most recently used."""
@@ -128,18 +119,6 @@ class SetAssociativeCache:
         ways.insert(0, line_addr)
         return True, None
 
-    def promote(self, line_addr: int) -> None:
-        """Make a *known-resident* line most recently used.
-
-        Exactly the state effect of a :meth:`lookup` hit, used by the
-        engine's bulk hit filter after it has verified residency through
-        ``resident``.  Calling it for a non-resident line is a bug.
-        """
-        ways = self._set_for(line_addr)
-        if ways[0] != line_addr:
-            ways.remove(line_addr)
-            ways.insert(0, line_addr)
-
     def invalidate(self, line_addr: int) -> bool:
         """Remove a line (coherence invalidation).  True if it was present."""
         idx = self.index_fn
@@ -175,26 +154,25 @@ class SetAssociativeCache:
 class FullyAssociativeLRU:
     """A fully-associative LRU cache used as a shadow for miss classification.
 
-    Implemented with an insertion-ordered dict: re-inserting moves a key to
-    the back, and the front is the least recently used.
+    Implemented with an ``OrderedDict``: a hit moves the key to the back,
+    and the front, the least recently used, is evicted in O(1).
     """
 
     def __init__(self, capacity_lines: int) -> None:
         if capacity_lines < 1:
             raise ValueError("capacity must be at least one line")
         self.capacity = capacity_lines
-        self._lines: dict[int, None] = {}
+        self._lines: OrderedDict[int, None] = OrderedDict()
 
     def access(self, line_addr: int) -> bool:
         """Touch a line; returns True on hit.  Misses insert with LRU eviction."""
         lines = self._lines
         if line_addr in lines:
-            del lines[line_addr]
-            lines[line_addr] = None
+            lines.move_to_end(line_addr)
             return True
         lines[line_addr] = None
         if len(lines) > self.capacity:
-            del lines[next(iter(lines))]
+            lines.popitem(last=False)
         return False
 
     def contains(self, line_addr: int) -> bool:

@@ -38,9 +38,11 @@ it sound:
   fall-through.
 * **Containers are aliased, never copied.**  Dicts, sets and lists (TLB
   entries, cache sets, ``resident`` views, sharers/dirty/pending maps,
-  the page cache) are bound to frame locals once per loop; out-of-line
-  calls (``vm.fault``, reclaim callbacks, ``ms.prefetch``) mutate the
-  same objects in place, so the aliases never go stale.  Structures that
+  the page cache) are bound to frame locals once per loop, together with
+  the O(1) ``move_to_end``/``popitem`` of the TLB and shadow
+  ``OrderedDict``s; out-of-line calls (``vm.fault``, reclaim callbacks,
+  ``ms.prefetch``) mutate the same objects in place, so the aliases
+  never go stale.  Structures that
   the engine *replaces* (``ms.stats`` per measured phase,
   ``_frame_conflicts`` per recolor step) only change at phase boundaries,
   and the engine builds fresh runners for every loop.
@@ -91,7 +93,7 @@ _FALSE = MissKind.FALSE_SHARING
 
 
 def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
-                fault_watch=None, prev_reset=None):
+                fault_watch=None):
     """Generator executing ``stream`` chunks for ``cpu``: the oracle, flat.
 
     Prime with ``next()``, then for each scheduling chunk ``send`` a tuple
@@ -107,14 +109,6 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     system and page tables (the engine's adaptive-CDPC watchdog re-plans
     and migrates pages from here).
 
-    ``prev_reset``, when given, is a shared one-element list cell: when
-    its flag is set at chunk entry, the cached ``prev_vpage`` is
-    invalidated before any reference executes.  The columnar kernel
-    (:mod:`repro.machine.columnar`) retires whole blocks *between* this
-    runner's chunks; a retired block moves other pages to the TLB tail,
-    so the move-to-back skip must not trust a ``prev_vpage`` that
-    predates it.
-
     A runner is valid for one engine loop: everything captured is either
     a constant or a container mutated in place for the loop's lifetime.
     """
@@ -128,6 +122,8 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     bus = ms.bus
 
     tlb_entries = tlb._entries
+    tlb_touch = tlb_entries.move_to_end
+    tlb_evict = tlb_entries.popitem
     tlb_cap = tlb.config.entries
     tlb_miss_ns = ms._tlb_miss_ns
     l1d_sets = l1d._sets
@@ -165,6 +161,8 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
         mid_resident = None
         mid_hit_ns = 0.0
     shadow_lines = shadow._lines
+    shadow_touch = shadow_lines.move_to_end
+    shadow_evict = shadow_lines.popitem
     shadow_cap = shadow.capacity
     l2_misses = stats.l2_misses
     l2_stall = stats.l2_stall_ns
@@ -297,9 +295,6 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
     while True:
         start, end, t, busy_per_ref, fault_concurrency = yield result
 
-        if prev_reset is not None and prev_reset[0]:
-            prev_vpage = -1
-            prev_reset[0] = False
         # Reload shared bus state (other CPUs ran between our chunks) and
         # reset the per-chunk statistic deltas.
         (
@@ -361,8 +356,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                             and pline not in pending_map
                         ):
                             if vpage != prev_vpage:
-                                del tlb_entries[vpage]
-                                tlb_entries[vpage] = None
+                                tlb_touch(vpage)
                                 prev_vpage = vpage
                             ways = l1d_sets[(vline >> l1d_shift) % l1d_nsets]
                             if ways[0] != vline:
@@ -380,8 +374,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     and vpage in page_cache
                 ):
                     if vpage != prev_vpage:
-                        del tlb_entries[vpage]
-                        tlb_entries[vpage] = None
+                        tlb_touch(vpage)
                         prev_vpage = vpage
                     ways = l1d_sets[(vline >> l1d_shift) % l1d_nsets]
                     if ways[0] != vline:
@@ -399,8 +392,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                     and vpage in page_cache
                 ):
                     if vpage != prev_vpage:
-                        del tlb_entries[vpage]
-                        tlb_entries[vpage] = None
+                        tlb_touch(vpage)
                         prev_vpage = vpage
                     ways = l1i_sets[(vline >> l1i_shift) % l1i_nsets]
                     if ways[0] != vline:
@@ -480,14 +472,13 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
             kernel_ns = 0.0
             if vpage in tlb_entries:
                 if vpage != prev_vpage:
-                    del tlb_entries[vpage]
-                    tlb_entries[vpage] = None
+                    tlb_touch(vpage)
                 tlb_hits_d += 1
             else:
                 tlb_misses_d += 1
                 tlb_entries[vpage] = None
                 if len(tlb_entries) > tlb_cap:
-                    del tlb_entries[next(iter(tlb_entries))]
+                    tlb_evict(False)
                 stats_tlb_misses_d += 1
                 kernel_ns = tlb_miss_ns
 
@@ -548,13 +539,12 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
                 if len(mways) > mid_assoc:
                     mid_resident.discard(mways.pop())
             if pline in shadow_lines:
-                del shadow_lines[pline]
-                shadow_lines[pline] = None
+                shadow_touch(pline)
                 shadow_hit = True
             else:
                 shadow_lines[pline] = None
                 if len(shadow_lines) > shadow_cap:
-                    del shadow_lines[next(iter(shadow_lines))]
+                    shadow_evict(False)
                 shadow_hit = False
             l2_ways = l2_sets[
                 (pline >> l2_shift) % l2_nsets if l2_index is None

@@ -142,10 +142,6 @@ class MemorySystem:
         # already include these, so the counters never feed results.
         self.fast_retired_data = 0
         self.fast_retired_instr = 0
-        # Whole 16-reference column blocks retired in bulk by the
-        # columnar kernel (repro.machine.columnar); the per-reference
-        # counts above include the references inside these blocks.
-        self.fast_retired_blocks = 0
         self._line = config.l2.line_size
         self._line_mask = ~(self._line - 1)
         self._word = config.word_size
@@ -405,18 +401,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Introspection helpers (used by tests and analysis)
 
-    def fast_path_state(self, cpu: int):
-        """Mutable per-CPU structures backing the engine's bulk hit filter.
-
-        Returns ``(tlb, l1d, l1i)``.  The engine probes ``tlb.entries``
-        and the caches' ``resident`` sets to prove a reference is an
-        on-chip read hit with a TLB hit, then replays exactly the LRU
-        effects (``Tlb.entries`` move-to-back, ``SetAssociativeCache.promote``)
-        and credits the hit counters in bulk — bypassing :meth:`access`
-        for references it would have answered without side effects.
-        """
-        return self._tlb[cpu], self._l1d[cpu], self._l1i[cpu]
-
     def l2_utilization(self, cpu: int) -> float:
         return self._l2[cpu].utilization()
 
@@ -477,7 +461,6 @@ class MemorySystem:
         registry.counter("memsys.demand_l2_misses").inc(self.demand_l2_misses)
         registry.counter("memsys.fast_retired_data").inc(self.fast_retired_data)
         registry.counter("memsys.fast_retired_instr").inc(self.fast_retired_instr)
-        registry.counter("memsys.fast_retired_blocks").inc(self.fast_retired_blocks)
         for kind in BusTransactionKind:
             registry.counter(f"bus.transactions.{kind.value}").inc(
                 self.bus.transactions[kind]

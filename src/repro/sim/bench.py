@@ -5,12 +5,13 @@ page coloring, bin hopping and CDPC) in four legs:
 
 * **reference** — the pre-optimization engine configuration: per-reference
   oracle path (``fast_path=False``), no trace cache, serial execution;
-* **fast/cold** — the optimized exact configuration (columnar epoch
-  kernel, trace caching, worker pool) against an empty trace cache: what
-  a first run pays, and the headline ``speedup``;
+* **fast/cold** — the optimized exact configuration (scalar hit filter,
+  first-touch init kernel, trace caching, worker pool) against an empty
+  trace cache: what a first run pays, and the headline ``speedup``;
 * **fast/warm** — the same configuration rerun against the now-warm
-  cache, where traces, columnar block indexes and sampling plans are all
-  reused: what every subsequent run in a session pays (``speedup_warm``);
+  cache, where traces, their reference streams and sampling plans are
+  all reused: what every subsequent run in a session pays
+  (``speedup_warm``);
 * **sampled** — ``sampling="access_vector"`` on the warm cache: the
   approximate leg.  Its results are *not* bit-identical; instead the
   bench reports its maximum/mean relative MCPI error against the oracle
@@ -44,9 +45,9 @@ A measurement caveat that matters when reading the numbers: host wall
 clock on small shared machines is noisy (CPU steal, frequency scaling),
 and the parallel legs' win depends on the CPUs the process may actually
 use (``os.sched_getaffinity``).  On a single-core host the fast legs run
-serially and the reported speedup is the columnar kernel + trace cache
-alone; the end-to-end figure needs the process pool, i.e. a multi-core
-host.
+serially and the reported speedup is the fast path (hit filter and
+first-touch init kernel) + trace cache alone; the end-to-end figure
+needs the process pool, i.e. a multi-core host.
 """
 
 from __future__ import annotations
@@ -321,8 +322,8 @@ def run_bench(
         workloads, config, fast_options, max_workers=max_workers,
         campaign=campaign,
     )
-    # Second pass over the (now warm) trace cache: traces, columnar block
-    # indexes and window plans are all reused.  With a worker pool the
+    # Second pass over the (now warm) trace cache: traces, reference
+    # streams and window plans are all reused.  With a worker pool the
     # warmth is per-worker, so warm == cold on multi-process runs.
     warm_results, warm_wall, warm_cpu, warm_report = _run_leg(
         workloads, config, fast_options, max_workers=max_workers,

@@ -40,8 +40,8 @@ from repro.compiler.prefetch_pass import PrefetchPlan, insert_prefetches
 from repro.compiler.summaries import extract_summary
 from repro.core.runtime import CdpcRuntime
 from repro.machine.config import MachineConfig
-from repro.machine.columnar import columnar_runner as columnar_loop_runner
 from repro.machine.fast_path import loop_runner as fast_loop_runner
+from repro.machine.first_touch import FALLBACK_REASONS, first_touch_init
 from repro.machine.memory_system import MemorySystem
 from repro.machine.stats import MachineStats
 from repro.obs import DEFAULT_DISTANCE_EDGES, Observability, ObsConfig
@@ -76,7 +76,6 @@ from repro.sim.trace_cache import (
 )
 from repro.sim.tracegen import (
     INSTRUCTION_BASE,
-    RefStream,
     SimProfile,
     loop_traces,
     occurrence_scale,
@@ -173,14 +172,6 @@ class EngineOptions:
     #: bit-identical to the reference path (``fast_path=False``), which is
     #: retained as the oracle for the equivalence suite.
     fast_path: bool = True
-    #: Columnar epoch kernel on top of the fast path: retire whole
-    #: 16-reference column blocks whose references all pass the hit
-    #: filter with one block-level membership check and a batch LRU
-    #: replay (:mod:`repro.machine.columnar`), falling back to the
-    #: scalar filter for the coherence-active residual.  Bit-identical
-    #: to both the scalar fast path and the reference oracle; only
-    #: meaningful when ``fast_path`` is on.
-    columnar: bool = True
     #: Statistical sampling mode: ``None`` simulates every reference
     #: (exact); ``"access_vector"`` clusters fixed-size trace windows by
     #: quantized per-color/per-set access-vector signature, simulates
@@ -555,10 +546,6 @@ class _Simulation:
             else None
         )
         self._trace_cache = default_trace_cache() if options.trace_cache else None
-        # Fast-path kernel selection and the optional sampling layer.
-        self._runner_factory = (
-            columnar_loop_runner if options.columnar else fast_loop_runner
-        )
         self._sampler: Optional[_AccessVectorSampler] = None
         if options.sampling is not None:
             if options.sampling != "access_vector":
@@ -609,6 +596,8 @@ class _Simulation:
         self.page_cache: dict[int, int] = {}  # vpage -> frame base address
         self._rng = random.Random(options.seed)
         self.init_ns = 0.0
+        # Init lines per path (first-touch kernel or fallback reason).
+        self._init_lines: dict[str, int] = {}
         # Occurrence counters per phase, for miss_variation (Section 3.2's
         # wave5 anomaly: one phase whose miss rate varies per occurrence).
         self._phase_occurrence: dict[str, int] = {}
@@ -980,7 +969,7 @@ class _Simulation:
         line = self.config.l2.line_size
         order = self.init_pages_order()
         if self.options.fast_path:
-            t = self._run_init_fast(order, psz, line, t, stats)
+            t = self._run_init_fast(order, t, stats)
         else:
             for vpage in order:
                 if self.vm.ensure_mapped(vpage, cpu=0):
@@ -997,38 +986,20 @@ class _Simulation:
         self._sync_clocks(t)
         self.init_ns = t
 
-    def _run_init_fast(self, order, psz, line, t, stats) -> float:
-        """Init pass through the flattened fast path.
+    def _run_init_fast(self, order, t, stats) -> float:
+        """Init pass through the first-touch kernel and the fast path.
 
-        The init loop writes each line of each page in page order, so it
-        is expressible as one reference stream; the fast path faults a
-        page at its first touch, exactly when the oracle's
-        ``ensure_mapped`` would.  Only page-fault time is charged to the
-        kernel overhead category (TLB service time advances the clock but
-        is not overhead here — matching the oracle above).
+        :func:`repro.machine.first_touch.first_touch_init` retires fresh
+        pages in bulk and sends the rest through the per-reference fast
+        path; either way a page faults at its first touch, exactly when
+        the oracle's ``ensure_mapped`` would.  Only page-fault time is
+        charged to the kernel overhead category (TLB service time
+        advances the clock but is not overhead here — matching the
+        oracle above).
         """
-        addrs: list[int] = []
-        for vpage in order:
-            start = vpage * psz
-            addrs.extend(range(start, start + psz, line))
-        n = len(addrs)
-        page_shift = psz.bit_length() - 1
-        page_mask = psz - 1
-        stream = RefStream(
-            addrs=addrs,
-            flags=[1] * n,  # initialization writes
-            prefetch=None,
-            vpages=[a >> page_shift for a in addrs],
-            offsets=[a & page_mask for a in addrs],
-            vlines=addrs,  # already line-aligned
-            fast_kinds=[0] * n,  # writes never take the hit filter
+        t, fault_kernel, self._init_lines = first_touch_init(
+            self.ms, self.vm, self.page_cache, order, t, self.config.cycle_ns
         )
-        runner = fast_loop_runner(self.ms, self.vm, self.page_cache, 0, stream)
-        next(runner)
-        t, _kernel_total, fault_kernel = runner.send(
-            (0, n, t, self.config.cycle_ns, 1)
-        )
-        runner.close()
         stats.overhead_ns["kernel"] += fault_kernel
         return t
 
@@ -1207,7 +1178,7 @@ class _Simulation:
         if self.options.fast_path:
             runners = []
             for cpu in range(self.num_cpus):
-                runner = self._runner_factory(
+                runner = fast_loop_runner(
                     self.ms, self.vm, self.page_cache, cpu, streams[cpu],
                     fault_watch=self._fault_watch,
                 )
@@ -1322,9 +1293,9 @@ class _Simulation:
     def _simulate_cpu(self, cpu, loop, trace, concurrent) -> None:
         stream = trace.ref_stream(self.config.page_size, self.config.l2.line_size)
         if self.options.fast_path:
-            runner = self._runner_factory(self.ms, self.vm, self.page_cache,
-                                          cpu, stream,
-                                          fault_watch=self._fault_watch)
+            runner = fast_loop_runner(self.ms, self.vm, self.page_cache,
+                                      cpu, stream,
+                                      fault_watch=self._fault_watch)
             next(runner)
             sampler = self._sampler
             if sampler is None:
@@ -1692,6 +1663,13 @@ class _Simulation:
         registry.counter("physmem.forced_failures").inc(physmem.forced_failures)
         registry.gauge("physmem.hint_honor_rate").set(physmem.hint_honor_rate)
         registry.gauge("engine.watchdog_tripped").set(float(self._watchdog_tripped))
+        registry.counter("engine.init_bulk_lines").inc(
+            self._init_lines.get("bulk", 0)
+        )
+        for reason in FALLBACK_REASONS:
+            registry.counter(f"engine.init_scalar_lines.{reason}").inc(
+                self._init_lines.get(reason, 0)
+            )
         registry.counter("physmem.frames_revoked").inc(physmem.frames_revoked_total)
         registry.counter("physmem.frames_restored").inc(
             physmem.frames_restored_total

@@ -154,36 +154,24 @@ class TraceCache:
     def stats(self) -> dict[str, int]:
         """Counters plus a census of derived artifacts riding on entries.
 
-        ``columnar_indexes`` counts cached streams carrying a memoized
-        columnar block index (:func:`repro.machine.columnar.block_index`)
-        and ``window_plans`` counts cached traces carrying a memoized
-        sampling plan (:func:`repro.sim.windows.access_vector_plan`) —
-        both are amortized across runs by this cache, so the census shows
-        how much static-lowering work warm runs are reusing.
+        ``window_plans`` counts cached traces carrying a memoized sampling
+        plan (:func:`repro.sim.windows.access_vector_plan`) — amortized
+        across runs by this cache, so the census shows how much
+        static-lowering work warm runs are reusing.
         """
-        columnar = 0
         plans = 0
         with self._lock:
             entries = list(self._entries.values())
         for traces in entries:
             for trace in traces:
-                d = getattr(trace, "__dict__", None)
-                if d is None:
-                    continue
-                if "_window_plan" in d:
+                if "_window_plan" in getattr(trace, "__dict__", {}):
                     plans += 1
-                cached_stream = d.get("_ref_stream")
-                if cached_stream is not None and "_columnar" in getattr(
-                    cached_stream[1], "__dict__", {}
-                ):
-                    columnar += 1
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "columnar_indexes": columnar,
                 "window_plans": plans,
             }
 

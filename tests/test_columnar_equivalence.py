@@ -1,12 +1,11 @@
-"""Columnar epoch kernel: bit-identity with the scalar filter and oracle.
+"""Scalar hit filter vs the oracle on tomcatv, one case per coherence hazard.
 
-The main equivalence suite (``test_fast_path_equivalence``) runs with the
-columnar kernel on by default; this module pins the remaining corners:
-the scalar filter (``columnar=False``) still matches the oracle, and the
-columnar kernel matches the oracle on *randomized* programs — hypothesis
-explores loop kinds, access mixes, array shapes and processor counts the
-bundled workloads never produce (blocks straddling chunk ends, single
--reference tails, all-write blocks, suppressed loops).
+The module name dates from the columnar epoch kernel, which has since been
+removed; the scalar filter it was compared against is now the only fast
+path.  These cases keep their original test ids and pin that path against
+the ``fast_path=False`` oracle on the variants that stress it hardest:
+coherence layouts (cdpc), mid-reference TLB fills (prefetch_fills_tlb) and
+fault races (fault_race), plus the plain page-coloring baseline.
 """
 
 from __future__ import annotations
@@ -14,24 +13,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.compiler.ir import (
-    ArrayDecl,
-    InitOrder,
-    Loop,
-    LoopKind,
-    PartitionedAccess,
-    Phase,
-    Program,
-)
 from repro.machine.config import sgi_base
-from repro.sim.engine import EngineOptions, run_benchmark, run_program
+from repro.sim.engine import EngineOptions, run_benchmark
 from repro.sim.tracegen import SimProfile
 
 from tests.test_fast_path_equivalence import VARIANTS
-from tests.test_sim_engine import tiny_machine
 
 CONFIG = sgi_base(4).scaled(16)
 
@@ -40,66 +27,12 @@ CONFIG = sgi_base(4).scaled(16)
     "label", ["page_coloring", "cdpc", "prefetch_fills_tlb", "fault_race"]
 )
 def test_scalar_filter_still_matches_oracle(label):
-    """``columnar=False`` selects the per-reference scalar filter."""
+    """``fast_path=True`` runs the per-reference scalar filter."""
     base = EngineOptions(profile=SimProfile.fast(), **VARIANTS[label])
     scalar = run_benchmark(
-        "tomcatv", CONFIG,
-        replace(base, fast_path=True, columnar=False, trace_cache=True),
+        "tomcatv", CONFIG, replace(base, fast_path=True, trace_cache=True)
     )
     reference = run_benchmark(
-        "tomcatv", CONFIG,
-        replace(base, fast_path=False, trace_cache=False),
+        "tomcatv", CONFIG, replace(base, fast_path=False, trace_cache=False)
     )
     assert scalar.to_dict() == reference.to_dict()
-
-
-def test_columnar_is_the_default():
-    assert EngineOptions().columnar
-
-
-@st.composite
-def programs(draw):
-    """Small random programs over a few arrays and loop shapes."""
-    num_arrays = draw(st.integers(1, 3))
-    names = [f"a{i}" for i in range(num_arrays)]
-    arrays = tuple(
-        ArrayDecl(name, draw(st.integers(1, 6)) * 256) for name in names
-    )
-    loops = []
-    for li in range(draw(st.integers(1, 3))):
-        accesses = tuple(
-            PartitionedAccess(
-                draw(st.sampled_from(names)),
-                units=draw(st.integers(1, 4)),
-                is_write=draw(st.booleans()),
-                sweeps=draw(st.sampled_from([1.0, 2.0])),
-                fraction=draw(st.sampled_from([0.5, 1.0])),
-            )
-            for _ in range(draw(st.integers(1, num_arrays)))
-        )
-        loops.append(
-            Loop(f"l{li}", draw(st.sampled_from(list(LoopKind))), accesses)
-        )
-    phases = (
-        Phase("steady", tuple(loops), occurrences=draw(st.integers(1, 2))),
-    )
-    return Program(
-        "rand", arrays, phases,
-        init_order=draw(st.sampled_from(list(InitOrder))),
-    )
-
-
-class TestColumnarProperty:
-    @settings(max_examples=15, deadline=None)
-    @given(programs(), st.integers(1, 4))
-    def test_columnar_bit_identical_on_random_programs(self, program, num_cpus):
-        config = tiny_machine(num_cpus)
-        columnar = run_program(
-            program, config,
-            EngineOptions(fast_path=True, columnar=True, trace_cache=False),
-        )
-        oracle = run_program(
-            program, config,
-            EngineOptions(fast_path=False, trace_cache=False),
-        )
-        assert columnar.to_dict() == oracle.to_dict()

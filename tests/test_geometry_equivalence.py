@@ -2,14 +2,16 @@
 
 The sliced XOR-hashed LLC and the three-level shared-LLC geometry thread
 new state through the memory system (per-level lookup, slice-hash set
-indexing, shared-LLC coherence).  The fast path and the columnar kernel
-must remain bit-identical to the ``fast_path=False`` oracle on every one
+indexing, shared-LLC coherence).  The fast path must remain
+bit-identical to the ``fast_path=False`` oracle on every one
 of them — same counters, same float stall times, same serialized result.
 
-A hypothesis sweep additionally explores random tiny geometries (slice
-counts, associativities, optional mid level, shared vs private LLC) the
-presets never produce, and the symbolic analyzer's occupancy witnesses
-are replayed through the real simulator on the sliced geometry.
+Hypothesis sweeps additionally explore random small programs (loop
+kinds, access mixes, array shapes, processor counts) and random tiny
+geometries (slice counts, associativities, optional mid level, shared vs
+private LLC) the bundled workloads and presets never produce, and the
+symbolic analyzer's occupancy witnesses are replayed through the real
+simulator on the sliced geometry.
 """
 
 from __future__ import annotations
@@ -20,12 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.ir import (
+    ArrayDecl,
+    InitOrder,
+    Loop,
+    LoopKind,
+    PartitionedAccess,
+    Phase,
+    Program,
+)
 from repro.machine.config import MachineConfig, sliced_llc_8x, three_level
 from repro.machine.hierarchy import CacheHierarchy, CacheLevel, xor_slice_masks
 from repro.sim.engine import EngineOptions, run_benchmark, run_program
 from repro.sim.tracegen import SimProfile
 
-from tests.test_columnar_equivalence import programs
+from tests.test_sim_engine import tiny_machine
 
 GEOMETRIES = {
     "sliced_llc_8x": sliced_llc_8x,
@@ -42,21 +53,62 @@ POLICIES = {
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("label", sorted(POLICIES))
 def test_fast_and_columnar_match_oracle(geometry, label):
+    """The fast path against the oracle on each geometry preset."""
     config = GEOMETRIES[geometry](2).scaled(16)
     base = EngineOptions(profile=SimProfile.fast(), **POLICIES[label])
     oracle = run_benchmark(
         "tomcatv", config, replace(base, fast_path=False, trace_cache=False)
     )
-    scalar = run_benchmark(
-        "tomcatv", config,
-        replace(base, fast_path=True, columnar=False, trace_cache=True),
+    fast = run_benchmark(
+        "tomcatv", config, replace(base, fast_path=True, trace_cache=True)
     )
-    columnar = run_benchmark(
-        "tomcatv", config,
-        replace(base, fast_path=True, columnar=True, trace_cache=True),
+    assert fast.to_dict() == oracle.to_dict()
+
+
+@st.composite
+def programs(draw):
+    """Small random programs over a few arrays and loop shapes."""
+    num_arrays = draw(st.integers(1, 3))
+    names = [f"a{i}" for i in range(num_arrays)]
+    arrays = tuple(
+        ArrayDecl(name, draw(st.integers(1, 6)) * 256) for name in names
     )
-    assert scalar.to_dict() == oracle.to_dict()
-    assert columnar.to_dict() == oracle.to_dict()
+    loops = []
+    for li in range(draw(st.integers(1, 3))):
+        accesses = tuple(
+            PartitionedAccess(
+                draw(st.sampled_from(names)),
+                units=draw(st.integers(1, 4)),
+                is_write=draw(st.booleans()),
+                sweeps=draw(st.sampled_from([1.0, 2.0])),
+                fraction=draw(st.sampled_from([0.5, 1.0])),
+            )
+            for _ in range(draw(st.integers(1, num_arrays)))
+        )
+        loops.append(
+            Loop(f"l{li}", draw(st.sampled_from(list(LoopKind))), accesses)
+        )
+    phases = (
+        Phase("steady", tuple(loops), occurrences=draw(st.integers(1, 2))),
+    )
+    return Program(
+        "rand", arrays, phases,
+        init_order=draw(st.sampled_from(list(InitOrder))),
+    )
+
+
+class TestProgramProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(programs(), st.integers(1, 4))
+    def test_fast_path_bit_identical_on_random_programs(self, program, num_cpus):
+        config = tiny_machine(num_cpus)
+        fast = run_program(
+            program, config, EngineOptions(fast_path=True, trace_cache=False)
+        )
+        oracle = run_program(
+            program, config, EngineOptions(fast_path=False, trace_cache=False)
+        )
+        assert fast.to_dict() == oracle.to_dict()
 
 
 @st.composite
@@ -106,7 +158,7 @@ class TestGeometryProperty:
         )
         fast = run_program(
             program, config,
-            replace(base, fast_path=True, columnar=True, trace_cache=False),
+            replace(base, fast_path=True, trace_cache=False),
         )
         oracle = run_program(
             program, config,
