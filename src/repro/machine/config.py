@@ -36,7 +36,6 @@ cares about — the number of page colors — invariant on every geometry.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
@@ -275,30 +274,6 @@ def _hierarchy_from_dict(data: dict[str, Any]) -> CacheHierarchy:
         mid=None if data.get("mid") is None else _level_from_dict(data["mid"]),
         color_table=tuple(data.get("color_table", ())),
     )
-
-
-# ----------------------------------------------------------------------
-# Deprecated keyword surface (PR-5 discipline: old spellings keep
-# working for one deprecation cycle, warning once per call).
-
-_dataclass_init = MachineConfig.__init__
-
-
-@functools.wraps(_dataclass_init)
-def _shimmed_init(self: MachineConfig, *args: Any, cache: Any = None, **kwargs: Any) -> None:
-    if cache is not None:
-        if "l2" in kwargs:
-            raise TypeError("got both 'cache' (deprecated) and 'l2'")
-        warnings.warn(
-            "keyword 'cache' is deprecated; use 'l2' (or an explicit hierarchy=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["l2"] = cache
-    _dataclass_init(self, *args, **kwargs)
-
-
-MachineConfig.__init__ = _shimmed_init  # type: ignore[method-assign]
 
 
 # ----------------------------------------------------------------------

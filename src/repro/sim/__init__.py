@@ -6,8 +6,7 @@
   iteration) — the interleaving is what makes same-color array starts
   thrash a direct-mapped cache;
 * :mod:`repro.sim.windows` — representative execution windows (Section
-  3.2) and the access-vector sampling plans behind
-  ``EngineOptions(sampling="access_vector")``;
+  3.2) and the occurrence-variation check behind them;
 * :mod:`repro.sim.engine` — drives the streams through the memory system
   with per-processor clocks, barrier/sequential/suppressed overhead
   accounting, page-fault servicing and optional prefetching;
@@ -22,8 +21,6 @@ from repro.sim.sweeps import STANDARD_POLICIES, cpu_sweep, policy_sweep, speedup
 from repro.sim.tracegen import SimProfile, loop_traces
 from repro.sim.windows import (
     PhaseWindow,
-    WindowPlan,
-    access_vector_plan,
     occurrence_variation,
     representative_window,
 )
@@ -34,10 +31,8 @@ __all__ = [
     "cpu_sweep",
     "policy_sweep",
     "speedup_table",
-    "access_vector_plan",
     "PhaseResult",
     "PhaseWindow",
-    "WindowPlan",
     "RunResult",
     "SimProfile",
     "loop_traces",

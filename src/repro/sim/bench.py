@@ -1,7 +1,7 @@
 """End-to-end engine benchmark: the Figure 6 policy sweep, every path.
 
 ``python -m repro bench`` times the full policy sweep (every workload under
-page coloring, bin hopping and CDPC) in four legs:
+page coloring, bin hopping and CDPC) in three simulated legs:
 
 * **reference** — the pre-optimization engine configuration: per-reference
   oracle path (``fast_path=False``), no trace cache, serial execution;
@@ -9,14 +9,11 @@ page coloring, bin hopping and CDPC) in four legs:
   first-touch init kernel, trace caching, worker pool) against an empty
   trace cache: what a first run pays, and the headline ``speedup``;
 * **fast/warm** — the same configuration rerun against the now-warm
-  cache, where traces, their reference streams and sampling plans are
-  all reused: what every subsequent run in a session pays
-  (``speedup_warm``);
-* **sampled** — ``sampling="access_vector"`` on the warm cache: the
-  approximate leg.  Its results are *not* bit-identical; instead the
-  bench reports its maximum/mean relative MCPI error against the oracle
-  and whether every extrapolated miss total fell inside its reported
-  error bound (``speedup_sampled``);
+  cache, where traces and their reference streams are all reused: what
+  every subsequent run in a session pays (``speedup_warm``).
+
+Two further legs simulate nothing:
+
 * **static_predict** — no simulation at all: the symbolic analyzer
   (:mod:`repro.checker.staticmiss`) predicts every cell's external-cache
   miss total, and the bench scores it against the oracle leg's measured
@@ -29,7 +26,7 @@ page coloring, bin hopping and CDPC) in four legs:
   rate (plus a zero-loss check) — the numbers the service's SLO gate in
   CI is calibrated against.
 
-The exact legs produce ``RunResult`` objects whose serialized form
+The simulated legs produce ``RunResult`` objects whose serialized form
 (``to_dict()``) must match the oracle bit-for-bit — the simulated
 statistics are deterministic, so any divergence is a fast-path bug and
 the bench exits nonzero.  The timing summary is written to
@@ -144,41 +141,6 @@ def find_divergences(
             fields = [key for key in ref_dict if fast_dict.get(key) != ref_dict[key]]
             divergences.append(f"{workload}/{label}: {', '.join(fields)}")
     return divergences
-
-
-def sampled_accuracy(
-    sampled: dict[str, dict[str, RunResult]],
-    reference: dict[str, dict[str, RunResult]],
-) -> dict:
-    """Accuracy of the sampled leg against the oracle, per run and overall.
-
-    Reports the maximum and mean relative MCPI error, and checks the
-    sampler's own error-bound contract: every run's extrapolated miss
-    total must lie within ``miss_error_bound`` of the oracle's exact
-    count (violations are listed by run).
-    """
-    mcpi_errors: list[float] = []
-    violations: list[str] = []
-    for workload, sweep in reference.items():
-        for label, ref_result in sweep.items():
-            s = sampled[workload][label]
-            ref_mcpi = ref_result.mcpi()
-            if ref_mcpi > 0:
-                mcpi_errors.append(abs(s.mcpi() - ref_mcpi) / ref_mcpi)
-            report = s.sampling or {}
-            exact = float(sum(ref_result.miss_breakdown().values()))
-            estimated = report.get("estimated_l2_misses", 0.0)
-            bound = report.get("miss_error_bound", 0.0)
-            if abs(estimated - exact) > bound:
-                violations.append(f"{workload}/{label}")
-    return {
-        "mcpi_max_rel_error": max(mcpi_errors) if mcpi_errors else 0.0,
-        "mcpi_mean_rel_error": (
-            sum(mcpi_errors) / len(mcpi_errors) if mcpi_errors else 0.0
-        ),
-        "bound_violations": violations,
-        "within_bound": not violations,
-    }
 
 
 def static_prediction_accuracy(
@@ -310,7 +272,6 @@ def run_bench(
     base = options or EngineOptions()
     reference_options = replace(base, fast_path=False, trace_cache=False)
     fast_options = replace(base, fast_path=True, trace_cache=True)
-    sampled_options = replace(fast_options, sampling="access_vector")
 
     ref_results, ref_wall, ref_cpu, ref_report = _run_leg(
         workloads, config, reference_options, max_workers=1
@@ -322,15 +283,11 @@ def run_bench(
         workloads, config, fast_options, max_workers=max_workers,
         campaign=campaign,
     )
-    # Second pass over the (now warm) trace cache: traces, reference
-    # streams and window plans are all reused.  With a worker pool the
-    # warmth is per-worker, so warm == cold on multi-process runs.
+    # Second pass over the (now warm) trace cache: traces and their
+    # reference streams are reused.  With a worker pool the warmth is
+    # per-worker, so warm == cold on multi-process runs.
     warm_results, warm_wall, warm_cpu, warm_report = _run_leg(
         workloads, config, fast_options, max_workers=max_workers,
-        campaign=campaign,
-    )
-    sampled_results, sampled_wall, sampled_cpu, sampled_report = _run_leg(
-        workloads, config, sampled_options, max_workers=max_workers,
         campaign=campaign,
     )
 
@@ -338,7 +295,6 @@ def run_bench(
     divergences += [
         f"warm:{line}" for line in find_divergences(warm_results, ref_results)
     ]
-    accuracy = sampled_accuracy(sampled_results, ref_results)
     static_predict = static_prediction_accuracy(ref_results, config, base)
     service_leg = service_latency_leg()
     refs = modeled_references(cold_results)
@@ -371,7 +327,7 @@ def run_bench(
             "trace_cache": True,
             "max_workers": workers,
             # Mirrors the cold leg: BENCH consumers predating the
-            # warm/sampled split read these flat keys.
+            # warm/cold split read these flat keys.
             "wall_s": cold_wall,
             "cpu_s": cold_cpu,
             "refs_per_sec": refs / cold_wall if cold_wall > 0 else 0.0,
@@ -391,23 +347,11 @@ def run_bench(
                 "campaign": warm_report.to_dict(),
             },
         },
-        "sampled": {
-            "sampling": "access_vector",
-            "max_workers": workers,
-            "wall_s": sampled_wall,
-            "cpu_s": sampled_cpu,
-            "refs_per_sec": refs / sampled_wall if sampled_wall > 0 else 0.0,
-            "campaign": sampled_report.to_dict(),
-            **accuracy,
-        },
         "static_predict": static_predict,
         "service": service_leg,
         "modeled_references": refs,
         "speedup": ref_wall / cold_wall if cold_wall > 0 else 0.0,
         "speedup_warm": ref_wall / warm_wall if warm_wall > 0 else 0.0,
-        "speedup_sampled": (
-            ref_wall / sampled_wall if sampled_wall > 0 else 0.0
-        ),
         "equivalent": not divergences,
         "divergences": divergences,
     }
@@ -431,7 +375,6 @@ def _history_entry(payload: dict) -> dict:
         "refs_per_sec": payload.get("fast", {}).get("refs_per_sec", 0.0),
         "speedup": payload.get("speedup", 0.0),
         "speedup_warm": payload.get("speedup_warm", 0.0),
-        "speedup_sampled": payload.get("speedup_sampled", 0.0),
         "static_max_rel_error": payload.get("static_predict", {}).get(
             "max_rel_error", 0.0
         ),
@@ -456,7 +399,7 @@ def write_bench(payload: dict, path: str = BENCH_OUTPUT) -> None:
 
     The previous report's history (if the file exists and parses) is
     extended with one entry for this run — git revision, UTC date,
-    fast-leg throughput and the three speedups — and truncated to the
+    fast-leg throughput and the two speedups — and truncated to the
     most recent :data:`HISTORY_LIMIT` entries, so the JSON doubles as a
     lightweight perf-regression log across commits.  The file is written
     atomically (tmp+rename) so a crash or a concurrent reader never

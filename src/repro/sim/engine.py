@@ -63,10 +63,7 @@ from repro.robustness.invariants import check_invariants
 from repro.sim.results import (
     PhaseResult,
     RunResult,
-    add_scaled_cpu_stats,
     add_scaled_stats,
-    copy_cpu_stats,
-    subtract_cpu_stats,
 )
 from repro.sim.trace_cache import (
     default_trace_cache,
@@ -80,15 +77,7 @@ from repro.sim.tracegen import (
     loop_traces,
     occurrence_scale,
 )
-from repro.sim.windows import (
-    ROLE_LEADER,
-    ROLE_SKIP,
-    ROLE_VALIDATOR,
-    ROLE_WARM,
-    access_vector_plan,
-    occurrence_variation,
-    representative_window,
-)
+from repro.sim.windows import representative_window
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checker.diagnostics import LintReport
@@ -172,20 +161,6 @@ class EngineOptions:
     #: bit-identical to the reference path (``fast_path=False``), which is
     #: retained as the oracle for the equivalence suite.
     fast_path: bool = True
-    #: Statistical sampling mode: ``None`` simulates every reference
-    #: (exact); ``"access_vector"`` clusters fixed-size trace windows by
-    #: quantized per-color/per-set access-vector signature, simulates
-    #: one leader (plus one validator) per cluster and replays the
-    #: leader's measured statistics delta for the rest, reporting an
-    #: error bound in :attr:`RunResult.sampling`.  Approximate by
-    #: design — never use it where bit-identity matters.
-    sampling: Optional[str] = None
-    #: References per sampling window; must be a positive multiple of
-    #: the 16-reference scheduling chunk.  The default is sized so the
-    #: per-loop per-CPU streams of the bundled workloads split into
-    #: enough windows to cluster (a window much longer than the stream
-    #: degrades sampling to exact simulation).
-    sampling_window: int = 256
     #: Memoize generated reference streams in the process-wide trace
     #: cache, reusing them across warmup/measured passes, repeated phase
     #: occurrences and runs with identical trace inputs.
@@ -204,7 +179,7 @@ class EngineOptions:
     #: profile's self-reported ``[lo, hi]`` interval, raising
     #: :class:`repro.checker.StaticCheckError` on any violation.  Only
     #: meaningful for configurations the predictor models (no prefetch,
-    #: faults, churn, pressure, sampling or dynamic recoloring); the
+    #: faults, churn, pressure or dynamic recoloring); the
     #: engine rejects unsupported combinations up front.
     static_check: bool = False
     #: Observability: metrics registry + span tracing + sampled hot-path
@@ -245,178 +220,6 @@ def _build_policy(config: MachineConfig, options: EngineOptions) -> MappingPolic
     if options.cdpc and options.resolved_delivery() == "madvise":
         return CdpcHintPolicy(colors, fallback=native)
     return native
-
-
-class _ClusterRecord:
-    """One access-vector cluster's measurements within a loop execution.
-
-    ``delta``/``dwall`` always hold the most recent *fresh-state*
-    measurement — the leader's, refreshed by each validator (which runs
-    right after a ``ROLE_WARM`` window has re-warmed cache state).
-    ``samples`` collects those fresh measurements' miss counts for the
-    error-bound variation statistic; ``skipped`` counts every window
-    whose statistics were replayed from ``delta`` rather than measured.
-
-    A cluster must *earn* the right to be skipped (``qualified``):
-    replays begin only after two consecutive fresh measurements agree,
-    and any later fresh measurement that drifts past
-    :meth:`drifted_from` marks the cluster unstable — its remaining
-    members simulate.  This is the dynamic arm of the paper's
-    occurrence-variation check: workloads whose equal-signature windows
-    behave differently over time (mgrid's grid levels, turb3d's
-    transposes, apsi) degrade toward exact simulation instead of
-    extrapolating from the wrong regime.
-    """
-
-    __slots__ = ("delta", "dwall", "samples", "skipped", "stable", "drift")
-
-    def __init__(self, delta, dwall: float, miss: float):
-        self.delta = delta
-        self.dwall = dwall
-        self.samples = [miss]
-        self.skipped = 0
-        self.stable = True
-        #: Largest observed fresh-sample miss jump (in misses), charged
-        #: against every replay in the error bound: replays made before
-        #: drift was detected may each be off by this much.
-        self.drift = 0.0
-
-    def qualified(self) -> bool:
-        return self.stable and len(self.samples) >= 2
-
-    @staticmethod
-    def _stall_ns(delta) -> float:
-        return (
-            delta.l1_stall_ns
-            + delta.prefetch_stall_ns
-            + sum(delta.l2_stall_ns.values())
-        )
-
-    def drifted_from(self, delta, dwall: float, miss: float) -> bool:
-        """Has behaviour moved materially since the last fresh sample?
-
-        Misses, wall time and stall time are checked separately: apsi's
-        windows keep their miss counts while their stall composition
-        moves, and replaying the old delta would hold MCPI at the stale
-        regime.
-        """
-        old_miss = float(sum(self.delta.l2_misses.values()))
-        if abs(miss - old_miss) > 0.2 * max(miss, old_miss) + 4.0:
-            return True
-        if abs(dwall - self.dwall) > 0.2 * max(dwall, self.dwall):
-            return True
-        old_stall = self._stall_ns(self.delta)
-        new_stall = self._stall_ns(delta)
-        return abs(new_stall - old_stall) > (
-            0.2 * max(new_stall, old_stall) + 1.0
-        )
-
-
-class _StreamSamplerState:
-    """Per-(CPU, loop-execution) sampling state.
-
-    Cluster records live only for one loop execution: every execution
-    re-simulates its leaders against the machine state it actually runs
-    under, so a recorded delta is only ever replayed into the same
-    statistics object it was measured from.
-    """
-
-    __slots__ = (
-        "plan", "open_window", "snap_stats", "snap_clock", "records", "stale",
-    )
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.open_window: Optional[int] = None
-        self.snap_stats = None
-        self.snap_clock = 0.0
-        self.records: dict[int, _ClusterRecord] = {}
-        #: True while the machine state trails reality because the
-        #: previous window(s) were replayed instead of simulated; the
-        #: first simulated window after a replay run measures against
-        #: that stale state and must not be trusted as a fresh sample.
-        self.stale = False
-
-
-class _AccessVectorSampler:
-    """Run-level bookkeeping for ``sampling="access_vector"``.
-
-    Collects window/cluster counts and accumulates the per-phase miss
-    error bound.  The bound per cluster follows the leader/validator
-    scheme: clusters with two or more independently simulated members
-    use the paper's occurrence variation statistic over those samples
-    (``skipped * (3*std + 2% of mean + 1)``); single-sample clusters get
-    a conservative flat margin (``skipped * (25% of leader + 1)``).
-    Counters and bounds only accumulate during recorded (measured)
-    phases; the replay itself also runs during warmup for speed.
-    """
-
-    def __init__(self, window: int, line_size: int, page_size: int,
-                 num_colors: int):
-        self.window = window
-        self.line_size = line_size
-        self.page_size = page_size
-        self.num_colors = num_colors
-        self.recording = False
-        self.windows = 0
-        self.simulated = 0
-        self.skipped = 0
-        self.clusters_seen = 0
-        self.phase_bound = 0.0
-        self.total_bound = 0.0
-
-    def state_for(self, trace) -> Optional[_StreamSamplerState]:
-        if not len(trace):
-            return None
-        plan = access_vector_plan(
-            trace, self.window, self.line_size, self.page_size,
-            self.num_colors,
-        )
-        return _StreamSamplerState(plan)
-
-    def take_phase_bound(self) -> float:
-        bound = self.phase_bound
-        self.phase_bound = 0.0
-        return bound
-
-    def flush_state(self, state: _StreamSamplerState) -> None:
-        """Fold one loop execution's cluster records into the run bound."""
-        if not self.recording:
-            return
-        for record in state.records.values():
-            self.clusters_seen += 1
-            if not record.skipped:
-                continue
-            if len(record.samples) >= 2:
-                mean, std, _cv = occurrence_variation(record.samples)
-                bound = record.skipped * (3.0 * std + 0.02 * mean + 1.0)
-            else:
-                bound = record.skipped * (0.25 * record.samples[0] + 1.0)
-            # Replays made before drift was detected may each be off by
-            # the observed jump: charge it against every replay.
-            bound += record.skipped * record.drift
-            self.phase_bound += bound
-
-    def report(self, estimated_misses: float, mode: str) -> dict:
-        windows = self.windows
-        bound = self.total_bound
-        if estimated_misses > 0:
-            relative = max(bound / estimated_misses, 0.05)
-            bound = relative * estimated_misses
-        else:
-            relative = 1.0
-        return {
-            "mode": mode,
-            "window": self.window,
-            "windows": windows,
-            "simulated_windows": self.simulated,
-            "skipped_windows": self.skipped,
-            "clusters": self.clusters_seen,
-            "skip_ratio": self.skipped / windows if windows else 0.0,
-            "estimated_l2_misses": estimated_misses,
-            "miss_error_bound": bound,
-            "relative_error_bound": relative,
-        }
 
 
 class _Simulation:
@@ -546,29 +349,6 @@ class _Simulation:
             else None
         )
         self._trace_cache = default_trace_cache() if options.trace_cache else None
-        self._sampler: Optional[_AccessVectorSampler] = None
-        if options.sampling is not None:
-            if options.sampling != "access_vector":
-                raise ValueError(
-                    f"unknown sampling mode {options.sampling!r} "
-                    "(expected None or 'access_vector')"
-                )
-            if not options.fast_path:
-                raise ValueError("sampling requires fast_path=True")
-            if (
-                options.sampling_window < _CHUNK
-                or options.sampling_window % _CHUNK
-            ):
-                raise ValueError(
-                    "sampling_window must be a positive multiple of "
-                    f"{_CHUNK} (got {options.sampling_window})"
-                )
-            self._sampler = _AccessVectorSampler(
-                options.sampling_window,
-                config.l2.line_size,
-                config.page_size,
-                config.num_colors,
-            )
         # Observability wiring.  Profilers are ``None`` when disabled so
         # the hot chunk path pays one identity check; the physmem hooks
         # are installed only when metrics are on (one attribute check per
@@ -658,7 +438,7 @@ class _Simulation:
 
         The predictor mirrors the deterministic trace/placement pipeline
         only; anything that perturbs placement or accounting at runtime
-        (faults, pressure, churn, recoloring, prefetch, sampling) would
+        (faults, pressure, churn, recoloring, prefetch) would
         make the cross-validation gate meaningless, so it is an error to
         combine them rather than a silently vacuous check.
         """
@@ -672,7 +452,6 @@ class _Simulation:
                 ("churn", options.churn is not None),
                 ("fault_plan", options.fault_plan is not None),
                 ("memory_pressure", options.memory_pressure > 0),
-                ("sampling", options.sampling is not None),
                 ("hint_watchdog", options.hint_watchdog is not None),
                 ("race_seed", options.race_seed is not None),
             )
@@ -1011,8 +790,6 @@ class _Simulation:
     # Steady state
 
     def run_phase(self, phase, record: bool) -> Optional[PhaseResult]:
-        if self._sampler is not None:
-            self._sampler.recording = record
         if self.injector is not None:
             self.injector.on_phase_boundary()
         if self.churn is not None:
@@ -1186,11 +963,6 @@ class _Simulation:
                 runners.append(runner)
         else:
             runners = None
-        if runners is not None and self._sampler is not None:
-            self._simulate_parallel_sampled(loop, traces, runners, concurrent)
-            for runner in runners:
-                runner.close()
-            return
         while active:
             cpu = min(active, key=clocks.__getitem__)
             end = min(positions[cpu] + _CHUNK, len(traces[cpu]))
@@ -1207,89 +979,6 @@ class _Simulation:
             for runner in runners:
                 runner.close()
 
-    def _simulate_parallel_sampled(self, loop, traces, runners,
-                                   concurrent) -> None:
-        """Window-synchronized sampled execution of one parallel loop.
-
-        Windows advance in lockstep across processors: window ``w`` is
-        replayed only when *every* still-active processor can replay it
-        (skip role with a recorded cluster delta); otherwise every
-        processor simulates it, interleaved by clock within the window.
-        The consensus rule keeps simulated windows realistic — all
-        processors are simulating concurrently, so the bus contention a
-        window measures is the contention the full run would see.  A
-        skip-role window that gets simulated by consensus refreshes its
-        cluster's delta like a validator.
-        """
-        sampler = self._sampler
-        clocks = self.clocks
-        stats_cpus = self.ms.stats.cpus
-        states = [sampler.state_for(traces[cpu]) for cpu in range(self.num_cpus)]
-        positions = [0] * self.num_cpus
-        lengths = [len(traces[cpu]) for cpu in range(self.num_cpus)]
-        w = 0
-        while True:
-            active = [
-                cpu for cpu in range(self.num_cpus)
-                if positions[cpu] < lengths[cpu]
-            ]
-            if not active:
-                break
-            all_skip = True
-            for cpu in active:
-                state = states[cpu]
-                plan = state.plan
-                if w >= plan.num_windows or plan.roles[w] != ROLE_SKIP:
-                    all_skip = False
-                    break
-                record = state.records.get(plan.clusters[w])
-                if record is None or not record.qualified():
-                    all_skip = False
-                    break
-            if all_skip:
-                for cpu in active:
-                    state = states[cpu]
-                    record = state.records[state.plan.clusters[w]]
-                    add_scaled_cpu_stats(stats_cpus[cpu], record.delta, 1.0)
-                    clocks[cpu] += record.dwall
-                    record.skipped += 1
-                    state.stale = True
-                    positions[cpu] = state.plan.ends[w]
-                if sampler.recording:
-                    sampler.windows += len(active)
-                    sampler.skipped += len(active)
-            else:
-                was_stale = {}
-                for cpu in active:
-                    state = states[cpu]
-                    plan = state.plan
-                    was_stale[cpu] = state.stale
-                    state.stale = False
-                    if w < plan.num_windows and plan.clusters[w] >= 0:
-                        state.open_window = w
-                        state.snap_clock = clocks[cpu]
-                        state.snap_stats = copy_cpu_stats(stats_cpus[cpu])
-                window_active = list(active)
-                while window_active:
-                    cpu = min(window_active, key=clocks.__getitem__)
-                    wend = min((w + 1) * sampler.window, lengths[cpu])
-                    end = min(positions[cpu] + _CHUNK, wend)
-                    self._run_chunk_fast(cpu, runners[cpu], loop, traces[cpu],
-                                         positions[cpu], end, concurrent)
-                    positions[cpu] = end
-                    if end >= wend:
-                        window_active.remove(cpu)
-                for cpu in active:
-                    self._sampler_advance(states[cpu], cpu, positions[cpu],
-                                          was_stale[cpu])
-                if sampler.recording:
-                    sampler.windows += len(active)
-                    sampler.simulated += len(active)
-            w += 1
-        for state in states:
-            if state is not None:
-                sampler.flush_state(state)
-
     def _simulate_cpu(self, cpu, loop, trace, concurrent) -> None:
         stream = trace.ref_stream(self.config.page_size, self.config.l2.line_size)
         if self.options.fast_path:
@@ -1297,139 +986,11 @@ class _Simulation:
                                       cpu, stream,
                                       fault_watch=self._fault_watch)
             next(runner)
-            sampler = self._sampler
-            if sampler is None:
-                self._run_chunk_fast(cpu, runner, loop, trace, 0, len(trace),
-                                     concurrent)
-            else:
-                state = sampler.state_for(trace)
-                n = len(trace)
-                pos = 0
-                while pos < n:
-                    skip_end = self._sampler_boundary(state, cpu, pos)
-                    if skip_end is not None:
-                        pos = skip_end
-                        continue
-                    was_stale = state.stale
-                    state.stale = False
-                    plan = state.plan
-                    w = pos // plan.window
-                    end = plan.ends[w] if w < plan.num_windows else n
-                    self._run_chunk_fast(cpu, runner, loop, trace, pos, end,
-                                         concurrent)
-                    pos = end
-                    self._sampler_advance(state, cpu, end, was_stale)
-                if state is not None:
-                    sampler.flush_state(state)
+            self._run_chunk_fast(cpu, runner, loop, trace, 0, len(trace),
+                                 concurrent)
             runner.close()
         else:
             self._run_chunk(cpu, loop, trace, stream, 0, len(trace), concurrent)
-
-    def _sampler_boundary(self, state, cpu, pos) -> Optional[int]:
-        """Handle a sampling-window boundary at stream position ``pos``.
-
-        Returns the window's end position when the window is replayed
-        from its cluster leader's recorded delta (the caller jumps over
-        it without simulating), or ``None`` when ``pos`` is mid-window
-        or the window must simulate.  Simulated leader/validator windows
-        open a statistics snapshot closed by :meth:`_sampler_advance`.
-        """
-        plan = state.plan
-        if pos % plan.window:
-            return None
-        w = pos // plan.window
-        if w >= plan.num_windows:
-            return None
-        sampler = self._sampler
-        role = plan.roles[w]
-        if role == ROLE_SKIP:
-            record = state.records.get(plan.clusters[w])
-            if record is not None and record.qualified():
-                add_scaled_cpu_stats(self.ms.stats.cpus[cpu], record.delta, 1.0)
-                self.clocks[cpu] += record.dwall
-                record.skipped += 1
-                state.stale = True
-                if sampler.recording:
-                    sampler.windows += 1
-                    sampler.skipped += 1
-                return plan.ends[w]
-        if plan.clusters[w] >= 0:
-            # Every simulated clusterable window is tracked: leaders and
-            # validators for fresh samples, warm windows and unqualified
-            # skip-role windows for substitution/qualification.
-            state.open_window = w
-            state.snap_clock = self.clocks[cpu]
-            state.snap_stats = copy_cpu_stats(self.ms.stats.cpus[cpu])
-        if sampler.recording:
-            sampler.windows += 1
-            sampler.simulated += 1
-        return None
-
-    def _sampler_advance(self, state, cpu, end, was_stale: bool = False) -> None:
-        """Close the open sampled window once ``end`` reaches it.
-
-        ``was_stale`` says whether this window ran against machine state
-        left behind by replayed windows.  A fresh (non-stale) window is
-        a trustworthy measurement: it refreshes the cluster's delta,
-        contributes a variation sample, and arms the drift check.  A
-        stale window (the ``ROLE_WARM`` re-warmer, or a skip-role window
-        simulated by parallel consensus) exists to advance machine
-        state, not to measure: its distorted statistics are replaced by
-        the cluster's recorded delta so only fresh-state measurements
-        enter the run totals.
-        """
-        w = state.open_window
-        if w is None:
-            return
-        plan = state.plan
-        if end < plan.ends[w]:
-            return
-        stats = self.ms.stats.cpus[cpu]
-        delta = subtract_cpu_stats(stats, state.snap_stats)
-        dwall = self.clocks[cpu] - state.snap_clock
-        miss = float(sum(delta.l2_misses.values()))
-        cid = plan.clusters[w]
-        record = state.records.get(cid)
-        if record is None:
-            state.records[cid] = _ClusterRecord(delta, dwall, miss)
-        elif not was_stale:
-            if record.drifted_from(delta, dwall, miss):
-                # The cluster's behaviour moved since the last fresh
-                # sample: replaying its delta would extrapolate from the
-                # wrong regime.  Disqualify it — remaining members
-                # simulate (the paper's variation check, applied online).
-                record.stable = False
-                old_miss = float(sum(record.delta.l2_misses.values()))
-                record.drift = max(record.drift, abs(miss - old_miss))
-            record.delta = delta
-            record.dwall = dwall
-            record.samples.append(miss)
-        else:
-            old_miss = float(sum(record.delta.l2_misses.values()))
-            stall = _ClusterRecord._stall_ns(delta)
-            old_stall = _ClusterRecord._stall_ns(record.delta)
-            if (
-                abs(miss - old_miss) > 0.3 * max(miss, old_miss) + 4.0
-                or abs(stall - old_stall)
-                > 0.3 * max(stall, old_stall) + 1.0
-            ):
-                # The re-warming window measured a regime grossly unlike
-                # the record.  Stale-state distortion stays well under
-                # 15% on stationary streams, so a mismatch this size
-                # means the stream itself moved while replays froze the
-                # cache state that would have revealed it (apsi's
-                # occurrence-to-occurrence warm-ups).  Keep the measured
-                # statistics — they track the real state evolution —
-                # disqualify the cluster, and charge the jump against
-                # the replays already made.
-                record.stable = False
-                record.drift = max(record.drift, abs(miss - old_miss))
-            else:
-                add_scaled_cpu_stats(stats, delta, -1.0)
-                add_scaled_cpu_stats(stats, record.delta, 1.0)
-                record.skipped += 1
-        state.open_window = None
-        state.snap_stats = None
 
     def _run_chunk_fast(self, cpu, runner, loop, trace, start, end,
                         concurrent) -> None:
@@ -1586,10 +1147,6 @@ class _Simulation:
                 wall += result.wall_ns * scaled_weight
                 for key, value in result.bus_busy_ns.items():
                     bus_busy[key] = bus_busy.get(key, 0.0) + value * scaled_weight
-                if self._sampler is not None:
-                    self._sampler.total_bound += (
-                        self._sampler.take_phase_bound() * scaled_weight
-                    )
         self._emit_run_metrics(total)
         if self.static_profile is not None:
             registry = self.obs.registry
@@ -1600,11 +1157,6 @@ class _Simulation:
                 registry.gauge("staticmiss.predicted_misses").set(
                     self.static_profile.predicted_total()
                 )
-        sampling_report = None
-        if self._sampler is not None:
-            sampling_report = self._sampler.report(
-                float(total.total_l2_misses()), self.options.sampling
-            )
         result = RunResult(
             workload=self.program.name,
             policy=self.options.policy,
@@ -1632,7 +1184,6 @@ class _Simulation:
                 adaptive=self.adaptive,
             ),
             obs=self.obs.report(),
-            sampling=sampling_report,
         )
         if self.static_profile is not None:
             from repro.checker.staticmiss import StaticCheckError

@@ -152,27 +152,12 @@ class TraceCache:
             self.evictions = 0
 
     def stats(self) -> dict[str, int]:
-        """Counters plus a census of derived artifacts riding on entries.
-
-        ``window_plans`` counts cached traces carrying a memoized sampling
-        plan (:func:`repro.sim.windows.access_vector_plan`) — amortized
-        across runs by this cache, so the census shows how much
-        static-lowering work warm runs are reusing.
-        """
-        plans = 0
-        with self._lock:
-            entries = list(self._entries.values())
-        for traces in entries:
-            for trace in traces:
-                if "_window_plan" in getattr(trace, "__dict__", {}):
-                    plans += 1
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "window_plans": plans,
             }
 
 

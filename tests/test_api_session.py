@@ -1,4 +1,4 @@
-"""Tests for the repro.api Session facade and keyword deprecation shims."""
+"""Tests for the repro.api Session facade."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro import Session
-from repro.api import canonicalize_kwargs, run_benchmark, run_program
+from repro.api import run_benchmark, run_program
 from repro.machine.config import sgi_base
 from repro.sim import engine as _engine
 from repro.sim.engine import EngineOptions
@@ -34,8 +34,10 @@ class TestSessionConstruction:
             )
 
     def test_unknown_option_rejected(self):
-        with pytest.raises(TypeError, match="no_such_option"):
-            Session("tomcatv", no_such_option=1)
+        # The retired legacy spellings are unknown keywords like any other.
+        for name in ("no_such_option", "max_workers", "fast", "unaligned"):
+            with pytest.raises(TypeError, match=name):
+                Session("tomcatv", **{name: 1})
 
     def test_default_config_scaling(self):
         session = Session("tomcatv", cpus=4, scale=8)
@@ -54,42 +56,6 @@ class TestSessionConstruction:
         assert session.options.obs.metrics
         off = Session("tomcatv", config=config, obs=False)
         assert off.options.obs is None
-
-
-class TestDeprecationShims:
-    def test_max_workers_maps_to_workers(self):
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            out = canonicalize_kwargs({"max_workers": 3})
-        assert out == {"workers": 3}
-
-    def test_fast_maps_to_profile(self):
-        with pytest.warns(DeprecationWarning, match="fast"):
-            out = canonicalize_kwargs({"fast": True})
-        assert out == {"profile": SimProfile.fast()}
-        with pytest.warns(DeprecationWarning):
-            assert canonicalize_kwargs({"fast": False}) == {
-                "profile": SimProfile()
-            }
-
-    def test_unaligned_maps_to_negated_aligned(self):
-        with pytest.warns(DeprecationWarning, match="unaligned"):
-            out = canonicalize_kwargs({"unaligned": True})
-        assert out == {"aligned": False}
-
-    def test_collision_with_canonical_name_rejected(self):
-        with pytest.raises(TypeError, match="both"):
-            canonicalize_kwargs({"fast": True, "profile": SimProfile()})
-
-    def test_canonical_names_pass_through_silently(self, recwarn):
-        out = canonicalize_kwargs({"workers": 2, "aligned": True})
-        assert out == {"workers": 2, "aligned": True}
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_session_accepts_legacy_kwargs(self, config):
-        with pytest.warns(DeprecationWarning):
-            session = Session("tomcatv", config=config, fast=True)
-        assert session.options.profile == SimProfile.fast()
 
 
 class TestDelegates:
@@ -191,14 +157,10 @@ class TestSessionScenarioSweep:
         figure = small_session.last_scenario.figure(width=16)
         assert "hint honor rate" in figure
 
-    def test_legacy_kwargs_still_shim(self, small_session, tiny_spec):
-        with pytest.warns(DeprecationWarning, match="max_workers"):
-            results = small_session.sweep(tiny_spec, max_workers=1)
-        assert len(results) == 3
-
     def test_unknown_kwarg_rejected(self, small_session, tiny_spec):
-        with pytest.raises(TypeError, match="unknown sweep option"):
-            small_session.sweep(tiny_spec, bogus=1)
+        for name in ("bogus", "max_workers", "fast", "unaligned"):
+            with pytest.raises(TypeError, match="unknown sweep option"):
+                small_session.sweep(tiny_spec, **{name: 1})
 
     def test_unknown_preset_name_raises(self, small_session):
         with pytest.raises(KeyError, match="unknown scenario preset"):

@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.machine.config import sgi_base
+from repro.obs import ObsConfig
 from repro.robustness.faults import FaultPlan
 from repro.sim.engine import EngineOptions, run_benchmark
 from repro.sim.tracegen import SimProfile
@@ -58,12 +59,15 @@ VARIANTS = {
 def test_fast_path_matches_reference(workload, label):
     base = EngineOptions(profile=SimProfile.fast(), **VARIANTS[label])
     fast = run_benchmark(
-        workload, CONFIG, replace(base, fast_path=True, trace_cache=True)
+        workload, CONFIG,
+        replace(base, fast_path=True, trace_cache=True, obs=ObsConfig()),
     )
     reference = run_benchmark(
         workload, CONFIG, replace(base, fast_path=False, trace_cache=False)
     )
     assert fast.to_dict() == reference.to_dict()
+    # A filter that never fires matches the oracle for free.
+    assert fast.obs["metrics"]["counters"]["memsys.fast_retired_data"] > 0
 
 
 def test_fast_path_is_the_default():

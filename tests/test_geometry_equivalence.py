@@ -33,6 +33,7 @@ from repro.compiler.ir import (
 )
 from repro.machine.config import MachineConfig, sliced_llc_8x, three_level
 from repro.machine.hierarchy import CacheHierarchy, CacheLevel, xor_slice_masks
+from repro.obs import ObsConfig
 from repro.sim.engine import EngineOptions, run_benchmark, run_program
 from repro.sim.tracegen import SimProfile
 
@@ -52,7 +53,7 @@ POLICIES = {
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
 @pytest.mark.parametrize("label", sorted(POLICIES))
-def test_fast_and_columnar_match_oracle(geometry, label):
+def test_fast_path_matches_oracle(geometry, label):
     """The fast path against the oracle on each geometry preset."""
     config = GEOMETRIES[geometry](2).scaled(16)
     base = EngineOptions(profile=SimProfile.fast(), **POLICIES[label])
@@ -60,9 +61,12 @@ def test_fast_and_columnar_match_oracle(geometry, label):
         "tomcatv", config, replace(base, fast_path=False, trace_cache=False)
     )
     fast = run_benchmark(
-        "tomcatv", config, replace(base, fast_path=True, trace_cache=True)
+        "tomcatv", config,
+        replace(base, fast_path=True, trace_cache=True, obs=ObsConfig()),
     )
     assert fast.to_dict() == oracle.to_dict()
+    # A filter that never fires matches the oracle for free.
+    assert fast.obs["metrics"]["counters"]["memsys.fast_retired_data"] > 0
 
 
 @st.composite

@@ -1,11 +1,10 @@
-"""Deprecation shims of the geometry redesign (the PR-5 discipline).
+"""The ``MachineConfig`` surface after the geometry redesign.
 
-Every pre-hierarchy ``MachineConfig`` spelling keeps working for one
-deprecation cycle: the removed ``cache=`` keyword maps onto ``l2=`` with
-exactly one :class:`DeprecationWarning`, and everything the repo's own
-callers use — presets, ``scaled``, ``with_cpus``, ``replace``, the
-session facade — stays warning-free, because CI runs an
-``-W error::DeprecationWarning`` leg over them.
+The pre-hierarchy ``cache=`` keyword is gone (``l2=`` or an explicit
+``hierarchy=`` replaces it), and everything the repo's own callers use —
+presets, ``scaled``, ``with_cpus``, ``replace``, the session facade —
+stays warning-free, because CI runs an ``-W error::DeprecationWarning``
+leg over them.
 """
 
 from __future__ import annotations
@@ -23,36 +22,9 @@ from repro.machine.config import (
 )
 
 
-class TestCacheKeywordShim:
-    def test_cache_keyword_maps_to_l2(self):
-        with pytest.warns(DeprecationWarning, match="'cache' is deprecated"):
-            config = MachineConfig(cache=CacheConfig(4 * 1024 * 1024, 128, 1))
-        assert config.l2 == CacheConfig(4 * 1024 * 1024, 128, 1)
-        assert config.num_colors == 1024
-        assert config == MachineConfig(l2=CacheConfig(4 * 1024 * 1024, 128, 1))
-
-    def test_cache_keyword_warns_exactly_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            MachineConfig(cache=CacheConfig(1024 * 1024, 128, 2))
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_cache_with_l2_is_ambiguous(self):
-        with pytest.raises(TypeError, match="both 'cache'"):
-            MachineConfig(
-                cache=CacheConfig(1024 * 1024, 128, 1),
-                l2=CacheConfig(1024 * 1024, 128, 2),
-            )
-
-    def test_shimmed_config_still_scales(self):
-        with pytest.warns(DeprecationWarning):
-            config = MachineConfig(cache=CacheConfig(1024 * 1024, 128, 1))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert config.scaled(16).num_colors == config.num_colors
+def test_cache_keyword_is_gone():
+    with pytest.raises(TypeError, match="cache"):
+        MachineConfig(cache=CacheConfig(1024 * 1024, 128, 1))
 
 
 class TestModernSurfaceIsWarningFree:

@@ -187,3 +187,6 @@ class TestArrayMissAttribution:
             "fpppp", config, EngineOptions(profile=SimProfile.fast())
         )
         assert result.to_dict()["array_misses"] == result.array_misses
+        # The retired sampling mode's key stays, always None, so stored
+        # to_dict() digests remain valid.
+        assert result.to_dict()["sampling"] is None

@@ -400,8 +400,8 @@ class TestStaticCheckGate:
             {"prefetch": True},
             {"dynamic_recolor": True},
             {"memory_pressure": 0.5},
-            {"sampling": "access_vector"},
             {"race_seed": 7},
+            {"hint_watchdog": 0.5},
         ],
     )
     def test_unsupported_combinations_rejected(self, overrides):
