@@ -5,8 +5,9 @@ a layered, readable implementation of one memory reference (TLB -> L1 ->
 L2 -> coherence -> bus).  It is also ~a dozen Python calls per miss, and
 the simulator executes hundreds of thousands of references per run.  This
 module re-implements the oracle's per-chunk reference loop as one flat
-generator with every hot structure in a frame local, preceded by the
-vectorized hit filter that retires guaranteed on-chip read hits in bulk.
+generator with every hot structure in a frame local, with a scalar hit
+filter in front of each reference that retires guaranteed on-chip hits
+without touching the oracle machinery.
 
 The entry point is :func:`loop_runner`: a generator instantiated once per
 engine loop per CPU.  All state capture and column hoisting happens once
@@ -331,7 +332,7 @@ def loop_runner(ms: MemorySystem, vm, page_cache: dict, cpu: int, stream,
 
         index = start
         while index < end:
-            # ---- Vectorized hit filter: guaranteed on-chip hits.  The
+            # ---- Scalar hit filter: guaranteed on-chip hits.  The
             # most selective predicate (L1 residency) runs first so
             # fall-through references reject in one set lookup.
             kind = fast_kinds[index]

@@ -23,6 +23,12 @@ replacement frame is allocated *before* the page is unmapped, the copy
 window is an explicit step (where a capacity revocation may strike), and
 every abort path returns the staged frame and leaves the VM→frame
 mapping and the free lists exactly as they were.
+
+:class:`HintWatchdog` decides when either runs: it watches the hint
+honor rate and, when the static hints stop being honored, re-plans
+through :class:`AdaptiveCdpc` or falls back to the
+:class:`DynamicRecolorer`.  The engine calls it at phase boundaries and,
+in the adaptive mode, after every page fault.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.machine.memory_system import MemorySystem
+from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 from repro.osmodel.physmem import OutOfMemoryError
+from repro.osmodel.policies import CdpcHintPolicy
 from repro.osmodel.vm import VirtualMemory
 
 #: Signature of the copy-window hook: ``(vpage, old_frame, new_frame)``.
@@ -40,6 +48,18 @@ from repro.osmodel.vm import VirtualMemory
 #: the remap commits.  Raising :class:`OutOfMemoryError` from the hook
 #: aborts the migration transactionally.
 MigrationHook = Callable[[int, int, int], None]
+
+#: Hinted faults a watchdog window needs before its honor rate is judged.
+MIN_JUDGED_REQUESTS = 8
+#: Re-plans allowed per run before the adaptive mode concedes and falls
+#: back to the dynamic recolorer like a plain watchdog trip.
+ADAPTIVE_MAX_REPLANS = 4
+#: A window only counts as a *collapse* (and triggers a re-plan) when its
+#: honor rate is below the watchdog threshold AND below this fraction of
+#: the best healthy rate observed so far.  The relative test keeps a plan
+#: that is merely mediocre from burning the re-plan budget the moment the
+#: run starts; the watchdog reacts to *drops*.
+ADAPTIVE_COLLAPSE_RATIO = 0.8
 
 
 def remap_plan_colors(
@@ -413,3 +433,163 @@ class AdaptiveCdpc:
     @property
     def total_migrations(self) -> int:
         return sum(len(event.migrations) for event in self.events)
+
+
+@dataclass
+class HintWatchdog:
+    """The hint-honor watchdog and the run-time recoloring it falls back to.
+
+    A plain watchdog (``threshold`` set) trips once the cumulative honor
+    rate drops below ``threshold``: the static hints are cleared and the
+    Section 2.1 recolorer takes over (``dynamic_recolor`` runs it from
+    the start).  The adaptive watchdog (``plan_colors`` set) judges a
+    window of recent faults and re-plans through :class:`AdaptiveCdpc`
+    on a collapse, tripping only once the re-plan budget is spent.
+    Migrated pages go back to the engine through
+    ``apply_migrations(vpages, cost_ns)``.
+    """
+
+    vm: VirtualMemory
+    ms: MemorySystem
+    apply_migrations: Callable[[list[int], float], None]
+    on_degradation: Callable[[str, dict], None]
+    #: Honor rate below which the hints are judged lost; None never trips.
+    threshold: Optional[float] = None
+    #: The compile-time vpage → color plan; set, the mode is adaptive.
+    plan_colors: Optional[dict[int, int]] = None
+    dynamic_recolor: bool = False
+    recolor_threshold: int = 16
+    recolor_max_per_step: int = 32
+    clock: Callable[[], float] = lambda: 0.0
+    tracer: Tracer | NullTracer = NULL_TRACER  # one ``cdpc.replan`` span each
+    tripped: bool = field(default=False, init=False)
+    recolorer: Optional[DynamicRecolorer] = field(default=None, init=False)
+    adaptive: Optional[AdaptiveCdpc] = field(default=None, init=False)
+    #: Best healthy window rate seen, against which a collapse is judged.
+    ref_rate: Optional[float] = field(default=None, init=False)
+    # Counters at the last re-plan (or healthy window), so each window
+    # judges fresh faults only.
+    _base_requests: int = field(default=0, init=False)
+    _base_honored: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        if self.dynamic_recolor:
+            self._start_recolorer()
+
+    @property
+    def aborted_recolor_steps(self) -> int:
+        return self.recolorer.aborted_steps if self.recolorer else 0
+
+    def at_boundary(self) -> None:
+        """Phase boundary: the recolor step, then the watchdog judgment."""
+        if self.recolorer is not None:
+            events, cost_ns = self.recolorer.step(self.clock())
+            self.apply_migrations([event.vpage for event in events], cost_ns)
+        if self.threshold is None or self.tripped:
+            return
+        if self.plan_colors is not None:
+            self._judge_window(boundary=True)
+            return
+        physmem = self.vm.physmem
+        if physmem.hint_requests < MIN_JUDGED_REQUESTS:
+            return
+        rate = physmem.hint_honor_rate
+        if rate < self.threshold:
+            self._trip(rate)
+
+    def on_fault(self) -> None:
+        """Adaptive judgment after every page fault.
+
+        A capacity-revocation storm plays out within a phase; judging per
+        fault lets the re-plan fire mid-storm, while there is still
+        unmapped demand to re-aim at surviving capacity.
+        """
+        if not self.tripped:
+            self._judge_window()
+
+    def _start_recolorer(self) -> None:
+        self.recolorer = DynamicRecolorer(
+            self.vm,
+            self.ms,
+            threshold=self.recolor_threshold,
+            max_per_step=self.recolor_max_per_step,
+            on_degradation=self.on_degradation,
+        )
+
+    def _trip(self, rate: float) -> None:
+        self.tripped = True
+        if isinstance(self.vm.policy, CdpcHintPolicy):
+            self.vm.policy.clear_hints()
+        if self.recolorer is None:
+            self._start_recolorer()
+        self.on_degradation(
+            "watchdog_trip",
+            {"hint_honor_rate": round(rate, 4), "threshold": self.threshold,
+             "hint_requests": self.vm.physmem.hint_requests},
+        )
+
+    def _reset_window(self) -> None:
+        physmem = self.vm.physmem
+        self._base_requests = physmem.hint_requests
+        self._base_honored = physmem.hints_honored
+
+    def _judge_window(self, boundary: bool = False) -> None:
+        """Adaptive CDPC: re-plan colors transactionally instead of giving up.
+
+        The rate is judged over the faults since the last re-plan (or
+        healthy window): the cumulative rate would keep one early
+        collapse visible forever and re-trigger endlessly.  A collapse
+        must fall below the threshold AND below
+        :data:`ADAPTIVE_COLLAPSE_RATIO` of the best healthy window.  On a
+        collapse the new hints install and the hottest stale pages
+        migrate (see :meth:`AdaptiveCdpc.replan`).
+        """
+        physmem = self.vm.physmem
+        requests = physmem.hint_requests - self._base_requests
+        if requests < MIN_JUDGED_REQUESTS:
+            return
+        rate = (physmem.hints_honored - self._base_honored) / requests
+        ref = self.ref_rate
+        collapsed = (
+            rate < self.threshold
+            and ref is not None
+            and rate < ADAPTIVE_COLLAPSE_RATIO * ref
+        )
+        if not collapsed:
+            if boundary or requests >= 64:
+                # Healthy window: fold it into the reference rate and
+                # start fresh.  Rolling the window intra-phase keeps the
+                # judgment tracking the *recent* fault stream — without
+                # it, the faults of a long healthy stretch average away
+                # the first minutes of a collapse and the watchdog reacts
+                # only after the damage is done.
+                self.ref_rate = rate if ref is None else max(ref, rate)
+                self._reset_window()
+            return
+        if self.adaptive is None:
+            self.adaptive = AdaptiveCdpc(
+                self.vm,
+                self.ms,
+                plan_colors=dict(self.plan_colors),
+                max_migrations=self.recolor_max_per_step,
+                on_degradation=self.on_degradation,
+            )
+        elif self.adaptive.total_replans >= ADAPTIVE_MAX_REPLANS:
+            self._trip(rate)
+            return
+        if not any(self.adaptive.demand_by_color()):
+            # Nothing unmapped: the collapse already played out and there
+            # is no future demand to re-aim.  Start a fresh window rather
+            # than burning a re-plan on a no-op.
+            self._reset_window()
+            return
+        with self.tracer.span("cdpc.replan", honor_rate=round(rate, 4)) as span:
+            event = self.adaptive.replan(rate)
+            span.set(migrations=len(event.migrations), aborted=event.aborted)
+        if isinstance(self.vm.policy, CdpcHintPolicy):
+            self.vm.policy.install_hints(event.hints)
+        self.apply_migrations(
+            [migration.vpage for migration in event.migrations], event.cost_ns
+        )
+        # Fresh window: judge the re-planned hints on their own faults.
+        self._reset_window()

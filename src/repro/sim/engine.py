@@ -31,7 +31,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.compiler.ir import LoopKind, Program
 from repro.compiler.padding import layout_arrays
@@ -45,6 +45,7 @@ from repro.machine.first_touch import FALLBACK_REASONS, first_touch_init
 from repro.machine.memory_system import MemorySystem
 from repro.machine.stats import MachineStats
 from repro.obs import DEFAULT_DISTANCE_EDGES, Observability, ObsConfig
+from repro.osmodel.dynamic import HintWatchdog
 from repro.osmodel.physmem import CascadeReclaimer, HeldFrameReclaimer
 from repro.osmodel.policies import (
     BinHoppingPolicy,
@@ -82,7 +83,6 @@ from repro.sim.windows import representative_window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.checker.diagnostics import LintReport
     from repro.checker.staticmiss import StaticMissProfile
-    from repro.osmodel.dynamic import AdaptiveCdpc, DynamicRecolorer
     from repro.scenarios.churn import ChurnDriver, ChurnSchedule
 
 _CHUNK = 16  # references simulated per processor per scheduling round
@@ -118,15 +118,10 @@ class EngineOptions:
     #: Run the page-table/physical-memory/miss-accounting invariant sweep
     #: after initialization and after every phase, raising on violation.
     check_invariants: bool = False
-    #: Graceful degradation: on allocator exhaustion, reclaim a competing
-    #: address space's frame or evict the coldest mapped page instead of
-    #: raising OutOfMemoryError.  (Reclaim only engages where the run
-    #: would previously have crashed, so fault-free results are
-    #: unchanged.)
-    reclaim: bool = True
-    #: Hint-honor-rate watchdog: when the rate drops below this threshold
-    #: the engine abandons the static CDPC hints and falls back to the
-    #: Section 2.1 dynamic recolorer.  None disables the watchdog.
+    #: Hint-honor-rate watchdog (:class:`repro.osmodel.dynamic.HintWatchdog`):
+    #: when the rate drops below this threshold the engine abandons the
+    #: static CDPC hints and falls back to the Section 2.1 dynamic
+    #: recolorer.  None disables the watchdog.
     hint_watchdog: Optional[float] = None
     #: Scheduled capacity churn (co-runner arrivals/departures, host
     #: capacity revocation/restoration), executed at phase boundaries.
@@ -138,28 +133,23 @@ class EngineOptions:
     #: migrations) and keep going.  The adaptive watchdog is judged over
     #: a *window* of recent faults — checked after every hinted fault,
     #: not just at phase boundaries — so a mid-phase collapse is repaired
-    #: mid-phase.  Requires ``cdpc`` and ``hint_watchdog``.
+    #: mid-phase.  Requires ``cdpc`` and ``hint_watchdog``.  The re-plan
+    #: budget and the collapse test are the constants
+    #: ``ADAPTIVE_MAX_REPLANS`` and ``ADAPTIVE_COLLAPSE_RATIO`` in
+    #: :mod:`repro.osmodel.dynamic`.
     adaptive_cdpc: bool = False
-    #: Re-plans allowed per run before the adaptive mode concedes and
-    #: falls back to the dynamic recolorer like a plain watchdog trip.
-    adaptive_max_replans: int = 4
-    #: A window only counts as a *collapse* (and triggers a re-plan) when
-    #: its honor rate is below ``hint_watchdog`` AND below this fraction
-    #: of the best healthy rate observed so far.  The relative test keeps
-    #: a plan that is merely mediocre from burning the re-plan budget the
-    #: moment the run starts; the watchdog reacts to *drops*.
-    adaptive_collapse_ratio: float = 0.8
     #: Times the measured window repeats (statistics are averaged over
     #: epochs, so results stay comparable across epoch counts).  Churn
     #: scenarios need many phase-boundary beats for their schedules to
     #: play out; a plain run keeps the default single epoch, which is
     #: bit-identical to the historical behavior.
     epochs: int = 1
-    #: Vectorized hit filter: retire references that provably hit the
-    #: on-chip cache and TLB with no coherence side effect in bulk,
-    #: bypassing the per-reference memory-system call.  Results are
-    #: bit-identical to the reference path (``fast_path=False``), which is
-    #: retained as the oracle for the equivalence suite.
+    #: Fast path: a scalar hit filter retires references that provably
+    #: hit the on-chip cache and TLB with no coherence side effect without
+    #: the per-reference memory-system call, and the first-touch kernel
+    #: runs the init pass.  Results are bit-identical to the reference
+    #: path (``fast_path=False``), which is retained as the oracle for the
+    #: equivalence suite.
     fast_path: bool = True
     #: Memoize generated reference streams in the process-wide trace
     #: cache, reusing them across warmup/measured passes, repeated phase
@@ -262,25 +252,6 @@ class _Simulation:
 
         self.degradation_log = DegradationLog()
         self.vm.physmem.event_hook = self.degradation_log.record
-        self.injector: Optional[FaultInjector] = None
-        if options.fault_plan is not None and options.fault_plan.active:
-            self.injector = FaultInjector(
-                options.fault_plan,
-                self.vm.physmem,
-                config.num_colors,
-                on_event=self.degradation_log.record,
-            )
-            self.injector.initial_pressure()
-
-        self.churn: Optional["ChurnDriver"] = None
-        if options.churn is not None and options.churn.active:
-            from repro.scenarios.churn import ChurnDriver
-
-            self.churn = ChurnDriver(
-                options.churn,
-                self.vm.physmem,
-                on_event=self.degradation_log.record,
-            )
 
         self.runtime: Optional[CdpcRuntime] = None
         if options.cdpc:
@@ -319,35 +290,26 @@ class _Simulation:
         self.ms = MemorySystem(
             config, prefetch_fills_tlb=options.prefetch_fills_tlb
         )
-        if options.reclaim:
-            cold = ColdPageReclaimer(
-                self.vm, self.ms, on_evict=self._on_page_evicted
-            )
-            self.vm.physmem.reclaim_policy = CascadeReclaimer([
-                HeldFrameReclaimer(),
-                cold,
-            ])
-            # Capacity revocation must not confiscate the competing
-            # address space's frames — the subject's cold pages pay.
-            self.vm.physmem.revocation_policy = cold
-        self._invariant_checks = 0
-        self._watchdog_tripped = False
-        self.adaptive: Optional["AdaptiveCdpc"] = None
-        # Windowed honor-rate baseline: counters at the last re-plan (or
-        # healthy phase boundary), so each watchdog window judges fresh
-        # faults only; the reference rate is the best healthy window seen,
-        # against which a collapse is judged.
-        self._honor_base_requests = 0
-        self._honor_base_honored = 0
-        self._honor_ref_rate: Optional[float] = None
-        # Per-fault adaptive watchdog hook for the chunk hot loop (None
-        # keeps the fault path free of the check entirely).
-        self._fault_watch = (
-            self._watchdog_fault_hook
-            if (options.adaptive_cdpc and options.cdpc
-                and options.hint_watchdog is not None)
-            else None
+        # Graceful degradation: on allocator exhaustion, reclaim a
+        # competing address space's frame or evict the coldest mapped page
+        # instead of raising OutOfMemoryError.  Reclaim only engages where
+        # the run would otherwise crash, so fault-free results are
+        # unchanged.  An evicted mapping's translation is dropped too.
+        cold = ColdPageReclaimer(
+            self.vm, self.ms,
+            on_evict=lambda vpage, frame: self.page_cache.pop(vpage, None),
         )
+        self.vm.physmem.reclaim_policy = CascadeReclaimer([
+            HeldFrameReclaimer(),
+            cold,
+        ])
+        # Capacity revocation must not confiscate the competing address
+        # space's frames — the subject's cold pages pay.
+        self.vm.physmem.revocation_policy = cold
+        self.clocks = [0.0] * self.num_cpus
+        self.page_cache: dict[int, int] = {}  # vpage -> frame base address
+        self._invariant_checks = 0
+        self._build_hooks()
         self._trace_cache = default_trace_cache() if options.trace_cache else None
         # Observability wiring.  Profilers are ``None`` when disabled so
         # the hot chunk path pays one identity check; the physmem hooks
@@ -372,8 +334,6 @@ class _Simulation:
             self._tracegen_ns = None
         self._layout_fp = layout_fingerprint(self.layout)
         self._plan_fp = plan_fingerprint(self.prefetch_plan)
-        self.clocks = [0.0] * self.num_cpus
-        self.page_cache: dict[int, int] = {}  # vpage -> frame base address
         self._rng = random.Random(options.seed)
         self.init_ns = 0.0
         # Init lines per path (first-touch kernel or fallback reason).
@@ -381,17 +341,66 @@ class _Simulation:
         # Occurrence counters per phase, for miss_variation (Section 3.2's
         # wave5 anomaly: one phase whose miss rate varies per occurrence).
         self._phase_occurrence: dict[str, int] = {}
-        self.recolorer: Optional["DynamicRecolorer"] = None
-        if options.dynamic_recolor:
-            from repro.osmodel.dynamic import DynamicRecolorer
 
-            self.recolorer = DynamicRecolorer(
-                self.vm,
-                self.ms,
-                threshold=options.recolor_threshold,
-                max_per_step=options.recolor_max_per_step,
-                on_degradation=self.degradation_log.record,
+    def _build_hooks(self) -> None:
+        """Build the optional run-time behaviours into ordered hook lists.
+
+        The firing order shapes the results (bit identity with the
+        oracle depends on it), so it is fixed here, once (DESIGN.md §8).
+        """
+        options = self.options
+        physmem = self.vm.physmem
+        record = self.degradation_log.record
+        self._on_start: list[Callable[[], None]] = []
+        self._on_init: list[Callable[[], None]] = []
+        self._on_phase_begin: list[Callable[[], None]] = []
+        self._on_phase_end: list[Callable[[], None]] = []
+
+        self.injector: Optional[FaultInjector] = None
+        if options.fault_plan is not None and options.fault_plan.active:
+            self.injector = FaultInjector(
+                options.fault_plan, physmem, self.config.num_colors,
+                on_event=record,
             )
+            self.injector.initial_pressure()
+            self._on_phase_begin.append(self.injector.on_phase_boundary)
+
+        self.churn: Optional["ChurnDriver"] = None
+        if options.churn is not None and options.churn.active:
+            from repro.scenarios.churn import ChurnDriver
+
+            self.churn = ChurnDriver(options.churn, physmem, on_event=record)
+            # Beat 0 fires before initialization — the analogue of the
+            # fault injector's initial pressure — so a scenario can
+            # constrain the capacity the program initializes under, not
+            # just perturb the steady state.
+            self._on_start.append(self._churn_beat)
+            self._on_phase_begin.append(self._churn_beat)
+
+        threshold = options.hint_watchdog if options.cdpc else None
+        adaptive = options.adaptive_cdpc and threshold is not None
+        self.watchdog = HintWatchdog(
+            self.vm,
+            self.ms,
+            apply_migrations=self._apply_migrations,
+            on_degradation=record,
+            threshold=threshold,
+            plan_colors=self.runtime.hints if adaptive else None,
+            dynamic_recolor=options.dynamic_recolor,
+            recolor_threshold=options.recolor_threshold,
+            recolor_max_per_step=options.recolor_max_per_step,
+            clock=lambda: self.clocks[0],
+            tracer=self.obs.tracer,
+        )
+        if options.dynamic_recolor or threshold is not None:
+            self._on_phase_end.append(self.watchdog.at_boundary)
+        # Per-fault adaptive judgment for the chunk hot loop (None keeps
+        # the fault path free of the check entirely).
+        self._fault_watch = self.watchdog.on_fault if adaptive else None
+
+        if options.check_invariants:
+            self._on_init.append(self._run_invariant_sweep)
+            self._on_phase_end.append(self._run_invariant_sweep)
 
     # ------------------------------------------------------------------
 
@@ -498,10 +507,6 @@ class _Simulation:
     # ------------------------------------------------------------------
     # Robustness hooks
 
-    def _on_page_evicted(self, vpage: int, frame: int) -> None:
-        """Cold-page reclaim evicted a mapping; drop the stale translation."""
-        self.page_cache.pop(vpage, None)
-
     #: Honor-rate histogram buckets sampled once per churn beat.
     _HONOR_RATE_EDGES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -527,161 +532,26 @@ class _Simulation:
                 ).observe(physmem.hint_honor_rate)
 
     def _run_invariant_sweep(self) -> None:
-        if not self.options.check_invariants:
-            return
         report = check_invariants(self.vm, self.ms)
         self._invariant_checks += 1
         report.raise_if_failed()
 
-    def _watchdog_check(self) -> None:
-        """Fall back from static hints to dynamic recoloring when hints rot.
+    def _apply_migrations(self, vpages: list[int], cost_ns: float) -> None:
+        """Drop migrated pages' translations and charge the migration cost.
 
-        Once the hint honor rate drops below the watchdog threshold the
-        compile-time coloring is no longer being realized — pressure or
-        hint loss has scattered the pages — so the static hints are
-        abandoned and the Section 2.1 dynamic recolorer takes over,
-        repairing the worst conflicts at run time.
+        Migration cost (page copies plus a TLB shootdown on every
+        processor) is charged as kernel time to all processors — the
+        inter-processor interference the paper predicts for dynamic
+        recoloring on multiprocessors.
         """
-        threshold = self.options.hint_watchdog
-        if threshold is None or self._watchdog_tripped or not self.options.cdpc:
-            return
-        if self.options.adaptive_cdpc and self.runtime is not None:
-            self._adaptive_check(threshold, boundary=True)
-            return
-        physmem = self.vm.physmem
-        if physmem.hint_requests < 8:  # too few samples to judge
-            return
-        rate = physmem.hint_honor_rate
-        if rate >= threshold:
-            return
-        self._trip_watchdog(rate, threshold)
-
-    def _trip_watchdog(self, rate: float, threshold: float) -> None:
-        physmem = self.vm.physmem
-        self._watchdog_tripped = True
-        if isinstance(self.vm.policy, CdpcHintPolicy):
-            self.vm.policy.clear_hints()
-        if self.recolorer is None:
-            from repro.osmodel.dynamic import DynamicRecolorer
-
-            self.recolorer = DynamicRecolorer(
-                self.vm,
-                self.ms,
-                threshold=self.options.recolor_threshold,
-                max_per_step=self.options.recolor_max_per_step,
-                on_degradation=self.degradation_log.record,
-            )
-        self.degradation_log.record(
-            "watchdog_trip",
-            {"hint_honor_rate": round(rate, 4), "threshold": threshold,
-             "hint_requests": physmem.hint_requests},
-        )
-
-    def _watchdog_fault_hook(self) -> None:
-        """Intra-phase adaptive watchdog, run after every hinted fault.
-
-        A capacity-revocation storm plays out *within* a phase — by the
-        phase boundary every evicted page has already re-faulted and the
-        damage is done.  Checking the window per fault lets the re-plan
-        fire mid-storm, while there is still unmapped demand to re-aim at
-        surviving capacity.
-        """
-        if self._watchdog_tripped or self.runtime is None:
-            return
-        threshold = self.options.hint_watchdog
-        if threshold is None:
-            return
-        self._adaptive_check(threshold)
-
-    def _reset_honor_window(self) -> None:
-        physmem = self.vm.physmem
-        self._honor_base_requests = physmem.hint_requests
-        self._honor_base_honored = physmem.hints_honored
-
-    def _adaptive_check(self, threshold: float, boundary: bool = False) -> None:
-        """Adaptive CDPC: re-plan colors transactionally instead of giving up.
-
-        The honor rate is judged over a *window* — faults since the last
-        re-plan (or healthy phase boundary) — because a re-plan is
-        supposed to repair the rate going forward; the cumulative rate
-        would keep a single early collapse visible forever and re-trigger
-        endlessly.  A window is a *collapse* only when it is below the
-        watchdog threshold AND below
-        :attr:`EngineOptions.adaptive_collapse_ratio` of the best healthy
-        window seen, so a plan that merely starts mediocre (capacity was
-        already tight at load time) does not burn the re-plan budget.
-
-        On collapse the plan's faulting classes are packed onto surviving
-        grantable capacity (see
-        :class:`repro.osmodel.dynamic.AdaptiveCdpc`), the new hints are
-        installed, and the hottest stale pages migrate with the same
-        shootdown/copy cost model the dynamic recolorer pays.  After
-        :attr:`EngineOptions.adaptive_max_replans` re-plans the mode
-        concedes and falls back to the dynamic recolorer, exactly like a
-        plain watchdog trip.
-        """
-        physmem = self.vm.physmem
-        window_requests = physmem.hint_requests - self._honor_base_requests
-        if window_requests < 8:  # too few samples to judge
-            return
-        window_honored = physmem.hints_honored - self._honor_base_honored
-        rate = window_honored / window_requests
-        ref = self._honor_ref_rate
-        collapsed = (
-            rate < threshold
-            and ref is not None
-            and rate < self.options.adaptive_collapse_ratio * ref
-        )
-        if not collapsed:
-            if boundary or window_requests >= 64:
-                # Healthy window: fold it into the reference rate and
-                # start fresh.  Rolling the window intra-phase keeps the
-                # judgment tracking the *recent* fault stream — without
-                # it, the faults of a long healthy stretch average away
-                # the first minutes of a collapse and the watchdog reacts
-                # only after the damage is done.
-                self._honor_ref_rate = rate if ref is None else max(ref, rate)
-                self._reset_honor_window()
-            return
-        if (
-            self.adaptive is not None
-            and self.adaptive.total_replans >= self.options.adaptive_max_replans
-        ):
-            self._trip_watchdog(rate, threshold)
-            return
-        if self.adaptive is None:
-            from repro.osmodel.dynamic import AdaptiveCdpc
-
-            self.adaptive = AdaptiveCdpc(
-                self.vm,
-                self.ms,
-                plan_colors=dict(self.runtime.hints),
-                max_migrations=self.options.recolor_max_per_step,
-                on_degradation=self.degradation_log.record,
-            )
-        if not any(self.adaptive.demand_by_color()):
-            # Nothing unmapped: the collapse already played out and there
-            # is no future demand to re-aim.  Start a fresh window rather
-            # than burning a re-plan on a no-op.
-            self._reset_honor_window()
-            return
-        with self.obs.tracer.span(
-            "cdpc.replan", honor_rate=round(rate, 4)
-        ) as span:
-            event = self.adaptive.replan(rate)
-            span.set(migrations=len(event.migrations), aborted=event.aborted)
-        if isinstance(self.vm.policy, CdpcHintPolicy):
-            self.vm.policy.install_hints(event.hints)
-        for migration in event.migrations:
-            self.page_cache.pop(migration.vpage, None)
-            self.ms.shootdown(migration.vpage)
-        if event.cost_ns:
+        for vpage in vpages:
+            self.page_cache.pop(vpage, None)
+            self.ms.shootdown(vpage)
+        if cost_ns:
             stats = self.ms.stats.cpus
             for cpu in range(self.num_cpus):
-                stats[cpu].overhead_ns["kernel"] += event.cost_ns
-            self._sync_clocks(max(self.clocks) + event.cost_ns)
-        # Fresh window: judge the re-planned hints on their own faults.
-        self._reset_honor_window()
+                stats[cpu].overhead_ns["kernel"] += cost_ns
+            self._sync_clocks(max(self.clocks) + cost_ns)
 
     # ------------------------------------------------------------------
     # Setup and initialization
@@ -748,7 +618,15 @@ class _Simulation:
         line = self.config.l2.line_size
         order = self.init_pages_order()
         if self.options.fast_path:
-            t = self._run_init_fast(order, t, stats)
+            # The first-touch kernel retires fresh pages in bulk and sends
+            # the rest through the per-reference fast path; either way a
+            # page faults at its first touch, exactly when
+            # ``ensure_mapped`` below would.  As below, only page-fault
+            # time is kernel overhead (TLB service only advances the clock).
+            t, fault_kernel, self._init_lines = first_touch_init(
+                self.ms, self.vm, self.page_cache, order, t, self.config.cycle_ns
+            )
+            stats.overhead_ns["kernel"] += fault_kernel
         else:
             for vpage in order:
                 if self.vm.ensure_mapped(vpage, cpu=0):
@@ -765,23 +643,6 @@ class _Simulation:
         self._sync_clocks(t)
         self.init_ns = t
 
-    def _run_init_fast(self, order, t, stats) -> float:
-        """Init pass through the first-touch kernel and the fast path.
-
-        :func:`repro.machine.first_touch.first_touch_init` retires fresh
-        pages in bulk and sends the rest through the per-reference fast
-        path; either way a page faults at its first touch, exactly when
-        the oracle's ``ensure_mapped`` would.  Only page-fault time is
-        charged to the kernel overhead category (TLB service time
-        advances the clock but is not overhead here — matching the
-        oracle above).
-        """
-        t, fault_kernel, self._init_lines = first_touch_init(
-            self.ms, self.vm, self.page_cache, order, t, self.config.cycle_ns
-        )
-        stats.overhead_ns["kernel"] += fault_kernel
-        return t
-
     def _sync_clocks(self, value: float) -> None:
         for cpu in range(self.num_cpus):
             self.clocks[cpu] = value
@@ -790,10 +651,8 @@ class _Simulation:
     # Steady state
 
     def run_phase(self, phase, record: bool) -> Optional[PhaseResult]:
-        if self.injector is not None:
-            self.injector.on_phase_boundary()
-        if self.churn is not None:
-            self._churn_beat()
+        for hook in self._on_phase_begin:
+            hook()
         bus = self.ms.bus
         if record:
             self.ms.stats = MachineStats.for_cpus(self.num_cpus)
@@ -805,10 +664,8 @@ class _Simulation:
         for loop in phase.loops:
             self.run_loop(loop, fraction_scale=scale)
         self._run_sequential_tail(self.clocks[0] - t0)
-        if self.recolorer is not None:
-            self._dynamic_recolor_step()
-        self._watchdog_check()
-        self._run_invariant_sweep()
+        for hook in self._on_phase_end:
+            hook()
         if not record:
             return None
         bus_delta = {
@@ -821,25 +678,6 @@ class _Simulation:
             wall_ns=self.clocks[0] - t0,
             bus_busy_ns=bus_delta,
         )
-
-    def _dynamic_recolor_step(self) -> None:
-        """Run the dynamic policy's inspect-and-migrate at a phase boundary.
-
-        Migration cost (page copies plus a TLB shootdown on every
-        processor) is charged as kernel time to all processors — the
-        inter-processor interference the paper predicts for dynamic
-        recoloring on multiprocessors.
-        """
-        events, cost_ns = self.recolorer.step(self.clocks[0])
-        if not events:
-            return
-        for event in events:
-            self.page_cache.pop(event.vpage, None)
-            self.ms.shootdown(event.vpage)
-        stats = self.ms.stats.cpus
-        for cpu in range(self.num_cpus):
-            stats[cpu].overhead_ns["kernel"] += cost_ns
-        self._sync_clocks(max(self.clocks) + cost_ns)
 
     def _run_sequential_tail(self, phase_elapsed_ns: float) -> None:
         """Unparallelized code at the end of each phase (sequential time).
@@ -864,10 +702,11 @@ class _Simulation:
         traces = self._loop_traces(loop, schedule, fraction_scale)
         start = self.clocks[0]
         if loop.kind is LoopKind.PARALLEL:
-            self._simulate_parallel(loop, traces)
+            self._simulate(loop, traces, range(self.num_cpus), _CHUNK)
             self._barrier()
         else:
-            self._simulate_cpu(0, loop, traces[0], concurrent=1)
+            # The master alone, its whole stream as one chunk.
+            self._simulate(loop, traces, [0], len(traces[0]))
             elapsed = self.clocks[0] - start
             category = (
                 "suppressed" if loop.kind is LoopKind.SUPPRESSED else "sequential"
@@ -886,16 +725,6 @@ class _Simulation:
         """
 
         def generate():
-            if self._tracegen_ns is None:
-                return loop_traces(
-                    loop,
-                    schedule,
-                    self.layout,
-                    self.config,
-                    self.options.profile,
-                    self.prefetch_plan,
-                    fraction_scale=fraction_scale,
-                )
             started = time.perf_counter()
             traces = loop_traces(
                 loop,
@@ -906,7 +735,8 @@ class _Simulation:
                 self.prefetch_plan,
                 fraction_scale=fraction_scale,
             )
-            self._tracegen_ns.observe((time.perf_counter() - started) * 1e9)
+            if self._tracegen_ns is not None:
+                self._tracegen_ns.observe((time.perf_counter() - started) * 1e9)
             return traces
 
         if self._trace_cache is None:
@@ -936,64 +766,52 @@ class _Simulation:
             tmax += cost
         self._sync_clocks(tmax)
 
-    def _simulate_parallel(self, loop, traces) -> None:
-        """Run all processors' streams interleaved in clock order.
+    def _simulate(self, loop, traces, cpus, quantum: int) -> None:
+        """Run the given processors' streams interleaved in clock order.
 
         Always advancing the processor with the smallest clock keeps bus
         requests arriving in (approximate) time order, which is what makes
         the contention model behave like a closed queueing system: each
         processor has at most one outstanding miss, so queueing delays
         bound themselves at saturation instead of growing with burst size.
+        Each turn simulates up to ``quantum`` references.
         """
         clocks = self.clocks
         psz = self.config.page_size
         line = self.config.l2.line_size
-        streams = [traces[cpu].ref_stream(psz, line) for cpu in range(self.num_cpus)]
-        positions = [0] * self.num_cpus
-        active = [cpu for cpu in range(self.num_cpus) if len(traces[cpu])]
-        concurrent = len(active)
+        active = [cpu for cpu in cpus if len(traces[cpu])]
+        streams = {cpu: traces[cpu].ref_stream(psz, line) for cpu in active}
+        positions = dict.fromkeys(active, 0)
+        fault_concurrency = len(active)
+        if self.injector is not None:
+            fault_concurrency = self.injector.fault_concurrency(fault_concurrency)
+        runners = None
         if self.options.fast_path:
-            runners = []
-            for cpu in range(self.num_cpus):
-                runner = fast_loop_runner(
+            runners = {}
+            for cpu in active:
+                runners[cpu] = fast_loop_runner(
                     self.ms, self.vm, self.page_cache, cpu, streams[cpu],
                     fault_watch=self._fault_watch,
                 )
-                next(runner)
-                runners.append(runner)
-        else:
-            runners = None
+                next(runners[cpu])
         while active:
             cpu = min(active, key=clocks.__getitem__)
-            end = min(positions[cpu] + _CHUNK, len(traces[cpu]))
+            end = min(positions[cpu] + quantum, len(traces[cpu]))
             if runners is not None:
                 self._run_chunk_fast(cpu, runners[cpu], loop, traces[cpu],
-                                     positions[cpu], end, concurrent)
+                                     positions[cpu], end, fault_concurrency)
             else:
                 self._run_chunk(cpu, loop, traces[cpu], streams[cpu],
-                                positions[cpu], end, concurrent)
+                                positions[cpu], end, fault_concurrency)
             positions[cpu] = end
             if end >= len(traces[cpu]):
                 active.remove(cpu)
         if runners is not None:
-            for runner in runners:
+            for runner in runners.values():
                 runner.close()
 
-    def _simulate_cpu(self, cpu, loop, trace, concurrent) -> None:
-        stream = trace.ref_stream(self.config.page_size, self.config.l2.line_size)
-        if self.options.fast_path:
-            runner = fast_loop_runner(self.ms, self.vm, self.page_cache,
-                                      cpu, stream,
-                                      fault_watch=self._fault_watch)
-            next(runner)
-            self._run_chunk_fast(cpu, runner, loop, trace, 0, len(trace),
-                                 concurrent)
-            runner.close()
-        else:
-            self._run_chunk(cpu, loop, trace, stream, 0, len(trace), concurrent)
-
     def _run_chunk_fast(self, cpu, runner, loop, trace, start, end,
-                        concurrent) -> None:
+                        fault_concurrency) -> None:
         """Dispatch one chunk to the flattened fast path (repro.machine).
 
         Performs the same post-chunk accounting as the oracle
@@ -1002,14 +820,8 @@ class _Simulation:
         which is bit-identical to the oracle by construction (and by the
         equivalence suite).
         """
-        if end <= start:
-            return
         busy_per_ref = (
             self.config.cycle_ns * loop.instructions_per_word * trace.words_per_ref
-        )
-        fault_concurrency = (
-            concurrent if self.injector is None
-            else self.injector.fault_concurrency(concurrent)
         )
         prof = self._chunk_prof
         started = prof.tick() if prof is not None else None
@@ -1027,9 +839,8 @@ class _Simulation:
         stats.overhead_ns["kernel"] += kernel_total
         self.clocks[cpu] = t
 
-    def _run_chunk(self, cpu, loop, trace, stream, start, end, concurrent) -> None:
-        if end <= start:
-            return
+    def _run_chunk(self, cpu, loop, trace, stream, start, end,
+                   fault_concurrency) -> None:
         prof = self._chunk_prof
         prof_started = prof.tick() if prof is not None else None
         ms = self.ms
@@ -1053,10 +864,6 @@ class _Simulation:
         vpages = stream.vpages
         offsets = stream.offsets
         access = ms.access
-        fault_concurrency = (
-            concurrent if self.injector is None
-            else self.injector.fault_concurrency(concurrent)
-        )
         fault_watch = self._fault_watch
 
         index = start
@@ -1107,20 +914,22 @@ class _Simulation:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def _prologue(self) -> None:
+        """Everything before the steady state: hint delivery and init."""
         tracer = self.obs.tracer
-        # Beat 0 of a churn schedule fires before initialization — the
-        # analogue of the fault injector's initial pressure — so a
-        # scenario can constrain the capacity the program initializes
-        # under, not just perturb the steady state.
-        if self.churn is not None:
-            self._churn_beat()
+        for hook in self._on_start:
+            hook()
         if self.options.cdpc:
             with tracer.span("cdpc.deliver", mode=self.options.resolved_delivery()):
                 self.deliver_cdpc()
         with tracer.span("sim.init"):
             self.run_init()
-        self._run_invariant_sweep()
+        for hook in self._on_init:
+            hook()
+
+    def run(self) -> RunResult:
+        tracer = self.obs.tracer
+        self._prologue()
         window = representative_window(self.program)
         with tracer.span("sim.warmup", phases=len(window.warmup)):
             for phase in window.warmup:
@@ -1175,13 +984,11 @@ class _Simulation:
             degradation=DegradationReport.collect(
                 self.degradation_log,
                 self.vm.physmem,
-                aborted_recolor_steps=(
-                    self.recolorer.aborted_steps if self.recolorer else 0
-                ),
+                aborted_recolor_steps=self.watchdog.aborted_recolor_steps,
                 invariant_checks=self._invariant_checks,
                 injector=self.injector,
                 churn=self.churn,
-                adaptive=self.adaptive,
+                adaptive=self.watchdog.adaptive,
             ),
             obs=self.obs.report(),
         )
@@ -1213,7 +1020,7 @@ class _Simulation:
         registry.counter("physmem.reclaims").inc(physmem.reclaims)
         registry.counter("physmem.forced_failures").inc(physmem.forced_failures)
         registry.gauge("physmem.hint_honor_rate").set(physmem.hint_honor_rate)
-        registry.gauge("engine.watchdog_tripped").set(float(self._watchdog_tripped))
+        registry.gauge("engine.watchdog_tripped").set(float(self.watchdog.tripped))
         registry.counter("engine.init_bulk_lines").inc(
             self._init_lines.get("bulk", 0)
         )
@@ -1225,12 +1032,11 @@ class _Simulation:
         registry.counter("physmem.frames_restored").inc(
             physmem.frames_restored_total
         )
-        if self.adaptive is not None:
-            registry.counter("engine.adaptive_replans").inc(
-                self.adaptive.total_replans
-            )
+        adaptive = self.watchdog.adaptive
+        if adaptive is not None:
+            registry.counter("engine.adaptive_replans").inc(adaptive.total_replans)
             registry.counter("engine.replan_migrations").inc(
-                self.adaptive.total_migrations
+                adaptive.total_migrations
             )
 
     def _attribute_misses(self) -> dict[str, int]:
@@ -1296,9 +1102,7 @@ def measure_occurrence_variation(
     from repro.sim.windows import occurrence_variation
 
     sim = _Simulation(program, config, options or EngineOptions())
-    if sim.options.cdpc:
-        sim.deliver_cdpc()
-    sim.run_init()
+    sim._prologue()
     for phase in program.phases:  # warmup, as in a normal run
         sim.run_phase(phase, record=False)
     report: dict[str, dict[str, tuple[float, float, float]]] = {}

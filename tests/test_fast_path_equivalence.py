@@ -1,12 +1,13 @@
 """Fast-path/oracle equivalence: the optimization must be bit-identical.
 
-The vectorized hit filter (``EngineOptions(fast_path=True)``) retires
-references in bulk only when it can prove the oracle would produce the
-same state and timing; everything else falls through to the per-reference
-path.  These tests pin the contract: for every policy and engine feature
-that shapes the reference stream or the memory-system state machine, the
-full serialized ``RunResult`` — counters, float stall times, overheads,
-degradation report — matches the ``fast_path=False`` oracle exactly.
+The scalar hit filter (``EngineOptions(fast_path=True)``) retires a
+reference without the per-reference memory-system call only when it can
+prove the oracle would produce the same state and timing; everything else
+falls through to the inlined per-reference path.  These tests pin the
+contract: for every policy and engine feature that shapes the reference
+stream or the memory-system state machine, the full serialized
+``RunResult`` — counters, float stall times, overheads, degradation
+report — matches the ``fast_path=False`` oracle exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ CONFIG = sgi_base(4).scaled(16)
 
 #: Every variant crosses a different hazard for the hit filter:
 #: coherence (cdpc/bin_hopping layouts), mid-reference TLB fills
-#: (prefetch_fills_tlb), phase-boundary remapping (dynamic_recolor), and
-#: mid-run frame seizure/reclaim (fault plans).
+#: (prefetch_fills_tlb), phase-boundary remapping (dynamic_recolor),
+#: mid-run frame seizure/reclaim (fault plans), and a watchdog trip that
+#: clears the hints mid-run (watchdog_trip).
 VARIANTS = {
     "page_coloring": {"policy": "page_coloring"},
     "bin_hopping": {"policy": "bin_hopping"},
@@ -51,6 +53,18 @@ VARIANTS = {
         "race_seed": 3,
         "fault_plan": FaultPlan(seed=3, race_storm=2),
     },
+    # Color-skewed pressure plus hint loss sinks the honor rate below the
+    # watchdog threshold: the hints are cleared mid-run and the dynamic
+    # recolorer takes over at the following phase boundaries.
+    "watchdog_trip": {
+        "policy": "page_coloring",
+        "cdpc": True,
+        "cdpc_delivery": "madvise",
+        "hint_watchdog": 0.95,
+        "fault_plan": FaultPlan(
+            seed=5, pressure=0.95, pressure_color_skew=1.0, hint_loss=0.5
+        ),
+    },
 }
 
 
@@ -68,6 +82,8 @@ def test_fast_path_matches_reference(workload, label):
     assert fast.to_dict() == reference.to_dict()
     # A filter that never fires matches the oracle for free.
     assert fast.obs["metrics"]["counters"]["memsys.fast_retired_data"] > 0
+    if label == "watchdog_trip":
+        assert fast.degradation.watchdog_trips == 1
 
 
 def test_fast_path_is_the_default():

@@ -51,8 +51,8 @@ POLICIES = {
 }
 
 
-def _assert_matches_oracle(workload, config, options):
-    """Run fast and oracle; return the fast run's init line counters."""
+def _fast_matching_oracle(workload, config, options):
+    """Run fast and oracle, assert they agree; return the fast run."""
     fast = run_benchmark(
         workload, config, replace(options, fast_path=True, obs=METRICS)
     )
@@ -60,7 +60,16 @@ def _assert_matches_oracle(workload, config, options):
         workload, config, replace(options, fast_path=False, trace_cache=False)
     )
     assert fast.to_dict() == oracle.to_dict()
-    counters = fast.obs["metrics"]["counters"]
+    return fast
+
+
+def _assert_matches_oracle(workload, config, options):
+    """Run fast and oracle; return the fast run's init line counters."""
+    return _init_lines(_fast_matching_oracle(workload, config, options))
+
+
+def _init_lines(run):
+    counters = run.obs["metrics"]["counters"]
     return {
         "bulk": counters["engine.init_bulk_lines"],
         **{
@@ -114,8 +123,10 @@ def test_churn_with_beat_zero_pressure_matches_oracle():
     spec = preset("smoke")
     labels, tasks = scenario_tasks(spec, CONFIG, options=FAST)
     workload, config, options = tasks[labels.index("cdpc-adaptive")]
-    lines = _assert_matches_oracle(workload, config, options)
-    assert lines["bulk"] > 0
+    fast = _fast_matching_oracle(workload, config, options)
+    assert _init_lines(fast)["bulk"] > 0
+    # The adaptive watchdog fired, so identity covers a mid-run re-plan.
+    assert fast.degradation.adaptive_replans >= 1
 
 
 def test_forced_allocation_failures_fall_back():

@@ -1,9 +1,10 @@
 """Tests for the adaptive CDPC re-planner and transactional migration.
 
 Covers the capacity-churn machinery the dynamic-recoloring tests do not:
-demand-driven plan remapping, grantable-capacity accounting, and the
+demand-driven plan remapping, grantable-capacity accounting, the
 transactional abort paths when capacity is revoked in the migration copy
-window (the worst possible moment).
+window (the worst possible moment), and the hint watchdog's state machine
+driven without the engine.
 """
 
 import pytest
@@ -11,14 +12,16 @@ import pytest
 from repro.machine.config import CacheConfig, MachineConfig
 from repro.machine.memory_system import MemorySystem
 from repro.osmodel.dynamic import (
+    ADAPTIVE_MAX_REPLANS,
     AdaptiveCdpc,
     DynamicRecolorer,
+    HintWatchdog,
     MigrationAborted,
     migrate_page,
     remap_plan_colors,
 )
 from repro.osmodel.physmem import OutOfMemoryError
-from repro.osmodel.policies import PageColoringPolicy
+from repro.osmodel.policies import CdpcHintPolicy, PageColoringPolicy
 from repro.osmodel.vm import VirtualMemory
 from repro.robustness.invariants import check_invariants
 
@@ -254,3 +257,125 @@ class TestRecolorerRevocationRegression:
         assert events
         assert pm.frames_revoked_total >= 4
         check_invariants(vm, ms).raise_if_failed()
+
+
+class WatchdogRig:
+    """A hinted VM plus a watchdog whose callbacks record what they get."""
+
+    def __init__(self, adaptive=False, threshold=0.9):
+        config = machine()
+        colors = config.num_colors
+        self.policy = CdpcHintPolicy(colors, fallback=PageColoringPolicy(colors))
+        self.vm = VirtualMemory(config, self.policy)
+        self.pm = self.vm.physmem
+        self.plan = {vpage: vpage % colors for vpage in range(8)}
+        self.policy.install_hints(self.plan)
+        self.events = []
+        self.migrations = []
+        self.watchdog = HintWatchdog(
+            self.vm,
+            MemorySystem(config),
+            apply_migrations=lambda vpages, cost: self.migrations.append(vpages),
+            on_degradation=lambda kind, detail: self.events.append(kind),
+            threshold=threshold,
+            plan_colors=self.plan if adaptive else None,
+        )
+
+    def faults(self, requests, honored):
+        """Account ``requests`` hinted faults, ``honored`` of them honored."""
+        self.pm.hint_requests += requests
+        self.pm.hints_honored += honored
+
+    def healthy_reference(self):
+        self.faults(10, 10)
+        self.watchdog.at_boundary()
+        assert self.watchdog.ref_rate == 1.0
+
+
+class TestHintWatchdog:
+    def test_no_judgment_under_eight_requests(self):
+        rig = WatchdogRig()
+        rig.faults(7, 0)
+        rig.watchdog.at_boundary()
+        assert not rig.watchdog.tripped
+        adaptive = WatchdogRig(adaptive=True)
+        adaptive.faults(7, 0)
+        adaptive.watchdog.at_boundary()
+        assert adaptive.watchdog.ref_rate is None
+
+    def test_plain_trip_fires_once_clears_hints_installs_recolorer(self):
+        rig = WatchdogRig()
+        assert rig.watchdog.recolorer is None
+        rig.faults(10, 2)
+        rig.watchdog.at_boundary()
+        assert rig.watchdog.tripped
+        assert rig.policy.num_hints == 0
+        assert isinstance(rig.watchdog.recolorer, DynamicRecolorer)
+        rig.faults(10, 0)
+        rig.watchdog.at_boundary()
+        assert rig.events == ["watchdog_trip"]
+
+    def test_no_replan_before_a_healthy_reference(self):
+        rig = WatchdogRig(adaptive=True)
+        rig.faults(10, 0)
+        rig.watchdog.on_fault()
+        rig.watchdog.at_boundary()
+        # The first window only sets the reference; a window no worse
+        # than a bad reference is no collapse.
+        assert rig.watchdog.ref_rate == 0.0
+        rig.faults(10, 0)
+        rig.watchdog.at_boundary()
+        assert rig.watchdog.adaptive is None
+        assert rig.events == []
+
+    @pytest.mark.parametrize(
+        "threshold, honored",
+        [(0.95, 9), (0.5, 7)],
+        ids=["above_ratio", "above_threshold"],
+    )
+    def test_collapse_needs_both_threshold_and_ratio(self, threshold, honored):
+        rig = WatchdogRig(adaptive=True, threshold=threshold)
+        rig.healthy_reference()
+        # 0.9 is below the 0.95 threshold but not below 0.8 x 1.0; 0.7 is
+        # below 0.8 x 1.0 but not below the 0.5 threshold.
+        rig.faults(10, honored)
+        rig.watchdog.on_fault()
+        assert rig.watchdog.adaptive is None
+        # Below both: a collapse, answered by a re-plan.
+        rig.faults(10, 0)
+        rig.watchdog.at_boundary()
+        assert rig.watchdog.adaptive.total_replans == 1
+        assert rig.events == ["adaptive_replan"]
+        assert not rig.watchdog.tripped
+
+    def test_zero_unmapped_demand_resets_window_without_replan(self):
+        rig = WatchdogRig(adaptive=True)
+        rig.healthy_reference()
+        for vpage in rig.plan:
+            rig.vm.ensure_mapped(vpage)
+        rig.faults(10, 0)
+        rig.watchdog.on_fault()
+        assert rig.watchdog.adaptive.total_replans == 0
+        assert rig.migrations == []
+        # A fresh window: the next eight honored faults judge as healthy.
+        rig.faults(8, 8)
+        rig.watchdog.at_boundary()
+        assert rig.watchdog.adaptive.total_replans == 0
+        assert not rig.watchdog.tripped
+
+    def test_collapse_after_the_replan_budget_concedes(self):
+        rig = WatchdogRig(adaptive=True)
+        rig.healthy_reference()
+        for _ in range(ADAPTIVE_MAX_REPLANS):
+            rig.faults(10, 0)
+            rig.watchdog.on_fault()
+        assert rig.watchdog.adaptive.total_replans == ADAPTIVE_MAX_REPLANS
+        assert len(rig.migrations) == ADAPTIVE_MAX_REPLANS
+        assert rig.watchdog.recolorer is None
+        rig.faults(10, 0)
+        rig.watchdog.on_fault()
+        assert rig.watchdog.tripped
+        assert rig.watchdog.adaptive.total_replans == ADAPTIVE_MAX_REPLANS
+        assert rig.policy.num_hints == 0
+        assert isinstance(rig.watchdog.recolorer, DynamicRecolorer)
+        assert rig.events[-1] == "watchdog_trip"
