@@ -7,7 +7,6 @@ Examples::
     python -m repro lint --format json
     python -m repro lint applu --cpus 16
     python -m repro faults tomcatv --pressure 0.6 --hint-loss 0.2 --check-invariants
-    python -m repro bench --fast --workloads tomcatv,swim
     python -m repro list
 """
 
@@ -666,15 +665,7 @@ def cmd_runfile(args) -> int:
         program = parse_program(handle.read())
     # Workload files declare full-scale sizes; scale them to the machine.
     program = program.scaled(args.scale)
-    config = _make_config(args)
-    options = EngineOptions(
-        policy=args.policy,
-        cdpc=args.cdpc,
-        prefetch=args.prefetch,
-        aligned=not args.unaligned,
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-    )
-    result = run_program(program, config, options)
+    result = run_program(program, _make_config(args), _options_for(args.policy, args))
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))
         return 0
@@ -787,77 +778,6 @@ def cmd_obs_check(args) -> int:
             status = 1
         else:
             print(f"{label} {path}: OK")
-    return status
-
-
-def cmd_bench(args) -> int:
-    from repro.sim.bench import run_bench, write_bench
-
-    config = _make_config(args)
-    workloads = (
-        list(WORKLOAD_NAMES)
-        if args.workloads == "all"
-        else args.workloads.split(",")
-    )
-    for name in workloads:
-        if name not in WORKLOAD_NAMES:
-            print(f"repro bench: error: unknown workload {name!r}", file=sys.stderr)
-            return 2
-    options = EngineOptions(
-        profile=SimProfile.fast() if args.fast else SimProfile(),
-    )
-    payload = run_bench(
-        config, workloads, options=options, max_workers=args.workers
-    )
-    write_bench(payload, args.output)
-    ref = payload["reference"]
-    fast = payload["fast"]
-    print(
-        render_table(
-            ["leg", "wall s", "refs/s", "workers"],
-            [
-                ["reference", round(ref["wall_s"], 3),
-                 int(ref["refs_per_sec"]), ref["max_workers"]],
-                ["fast (cold)", round(fast["cold"]["wall_s"], 3),
-                 int(fast["cold"]["refs_per_sec"]), fast["max_workers"]],
-                ["fast (warm)", round(fast["warm"]["wall_s"], 3),
-                 int(fast["warm"]["refs_per_sec"]), fast["max_workers"]],
-            ],
-        )
-    )
-    print(
-        f"\nspeedup: {payload['speedup']:.2f}x cold, "
-        f"{payload['speedup_warm']:.2f}x warm  ({args.output})"
-    )
-    counters = fast.get("campaign", {})
-    if counters.get("retries") or counters.get("pool_restarts"):
-        print(
-            f"campaign: {counters.get('retries', 0)} retries, "
-            f"{counters.get('pool_restarts', 0)} pool restarts"
-        )
-    service = payload.get("service")
-    status = 0
-    if service:
-        print(
-            f"service: p50 {service['latency_ms']['p50']:.2f}ms, "
-            f"p99 {service['latency_ms']['p99']:.2f}ms, "
-            f"{int(service['throughput_rps'])} req/s, "
-            f"cache hit rate {service['cache_hit_rate']:.0%}, "
-            + ("zero loss" if service["zero_loss"] else "REQUESTS LOST")
-        )
-        if not service["zero_loss"]:
-            print(
-                f"repro bench: service leg lost {service['lost']} request(s)",
-                file=sys.stderr,
-            )
-            status = 1
-    if not payload["equivalent"]:
-        print("repro bench: FAST PATH DIVERGED FROM REFERENCE:", file=sys.stderr)
-        for line in payload["divergences"]:
-            print(f"  {line}", file=sys.stderr)
-        status = 1
-    else:
-        print("fast path bit-identical to reference on every run")
     return status
 
 
@@ -1081,12 +1001,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the SPEC95fp workload models")
 
-    def add_common(p):
-        p.add_argument("workload", choices=WORKLOAD_NAMES)
-        p.add_argument("--cpus", type=int, default=8)
+    def add_machine(p, cpus=8):
+        p.add_argument("--cpus", type=int, default=cpus,
+                       help=f"processor count (default {cpus})")
         p.add_argument("--machine", choices=sorted(_MACHINES), default="sgi_base")
         p.add_argument("--scale", type=int, default=16,
                        help="geometric scale factor (default 16)")
+
+    def add_campaign(p):
+        """The durability and pool flags of every campaign-running verb."""
+        p.add_argument(
+            "--progress", action="store_true",
+            help="force the live progress line even when stderr is not a TTY",
+        )
+        p.add_argument(
+            "--resume", action="store_true",
+            help="persist completed runs durably and skip any already in "
+            f"the store (default store: {DEFAULT_STORE})",
+        )
+        p.add_argument(
+            "--store", default=None, metavar="DIR",
+            help="result-store directory (implies result persistence; "
+            "completed runs are written atomically as they finish)",
+        )
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="process-pool size (default: CPUs this process may use)",
+        )
+        p.add_argument(
+            "--timeout", type=float, default=None, metavar="SECONDS",
+            help="per-run wall-clock deadline; hung workers are killed and "
+            "the run retried (parallel mode only)",
+        )
+        p.add_argument(
+            "--retries", type=int, default=2,
+            help="retries per run after a crash or timeout (default 2)",
+        )
+        p.add_argument(
+            "--strict", action="store_true",
+            help="fail fast on the first unrecoverable run failure instead "
+            "of reporting the completed subset",
+        )
+
+    def add_common(p, workload=True):
+        """The machine and engine flags of run, sweep, faults and runfile."""
+        if workload:
+            p.add_argument("workload", choices=WORKLOAD_NAMES)
+        add_machine(p)
         p.add_argument("--policy", default="page_coloring",
                        choices=["page_coloring", "bin_hopping"])
         p.add_argument("--cdpc", action="store_true")
@@ -1122,10 +1083,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.add_parser("sweep", help="compare mapping policies")
     add_common(sweep_parser)
     add_obs(sweep_parser)
-    sweep_parser.add_argument(
-        "--progress", action="store_true",
-        help="force the live progress line even when stderr is not a TTY",
-    )
+    add_campaign(sweep_parser)
     sweep_parser.add_argument(
         "--policies", default="page_coloring,bin_hopping,cdpc",
         help="comma-separated: page_coloring, bin_hopping, cdpc",
@@ -1135,34 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated machine presets for a cross-geometry "
         "comparison (e.g. sgi_base,sliced_llc_8x,three_level); renders "
         "one policy-comparison block per geometry",
-    )
-    sweep_parser.add_argument(
-        "--resume", action="store_true",
-        help="persist completed runs durably and skip any already in the "
-        f"store (default store: {DEFAULT_STORE})",
-    )
-    sweep_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="result-store directory (implies result persistence; "
-        "completed runs are written atomically as they finish)",
-    )
-    sweep_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size (default: CPUs this process may use)",
-    )
-    sweep_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-run wall-clock deadline; hung workers are killed and "
-        "the run retried (parallel mode only)",
-    )
-    sweep_parser.add_argument(
-        "--retries", type=int, default=2,
-        help="retries per run after a crash or timeout (default 2)",
-    )
-    sweep_parser.add_argument(
-        "--strict", action="store_true",
-        help="fail fast on the first unrecoverable run failure instead "
-        "of reporting the completed subset",
     )
 
     lint_parser = sub.add_parser(
@@ -1178,12 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--file", default=None,
         help="lint a workload described in the text format instead",
     )
-    lint_parser.add_argument("--cpus", type=int, default=16,
-                             help="processor count to check against (default 16)")
-    lint_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                             default="sgi_base")
-    lint_parser.add_argument("--scale", type=int, default=16,
-                             help="geometric scale factor (default 16)")
+    add_machine(lint_parser, cpus=16)
     lint_parser.add_argument(
         "--format", choices=["text", "json"], default="text",
         help="output format (json is stable-ordered for CI diffing)",
@@ -1214,11 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[*WORKLOAD_NAMES, "all"],
         help="bundled workload to predict, or 'all' (default)",
     )
-    predict_parser.add_argument("--cpus", type=int, default=8)
-    predict_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                                default="sgi_base")
-    predict_parser.add_argument("--scale", type=int, default=16,
-                                help="geometric scale factor (default 16)")
+    add_machine(predict_parser)
     predict_parser.add_argument(
         "--policies", default="page_coloring,bin_hopping,cdpc",
         help="comma-separated policy labels to predict "
@@ -1286,33 +1207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the full two-sweep simulation profile instead of fast",
     )
 
-    bench_parser = sub.add_parser(
-        "bench",
-        help="time the Figure 6 policy sweep on both engine paths and "
-        "write BENCH_engine.json",
-    )
-    bench_parser.add_argument("--cpus", type=int, default=8)
-    bench_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                              default="sgi_base")
-    bench_parser.add_argument("--scale", type=int, default=16,
-                              help="geometric scale factor (default 16)")
-    bench_parser.add_argument(
-        "--workloads", default="all",
-        help="comma-separated workload names, or 'all' (default)",
-    )
-    bench_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process-pool size for the fast leg (default: os.cpu_count())",
-    )
-    bench_parser.add_argument(
-        "--fast", action="store_true",
-        help="single-sweep fast simulation profile",
-    )
-    bench_parser.add_argument(
-        "--output", default="BENCH_engine.json",
-        help="where to write the JSON report (default: BENCH_engine.json)",
-    )
-
     scenario_parser = sub.add_parser(
         "scenario",
         help="multi-programmed dynamic-capacity churn scenarios "
@@ -1324,44 +1218,12 @@ def build_parser() -> argparse.ArgumentParser:
     scn_sub.add_parser("list", help="list the scenario presets")
 
     def add_scenario_common(p):
-        p.add_argument("--cpus", type=int, default=8)
-        p.add_argument("--machine", choices=sorted(_MACHINES),
-                       default="sgi_base")
-        p.add_argument("--scale", type=int, default=16,
-                       help="geometric scale factor (default 16)")
+        add_machine(p)
         p.add_argument("--fast", action="store_true",
                        help="single-sweep fast simulation profile")
         p.add_argument("--json", action="store_true",
                        help="emit the report as JSON instead of tables")
-        p.add_argument(
-            "--progress", action="store_true",
-            help="force the live progress line even when stderr is not a TTY",
-        )
-        p.add_argument(
-            "--resume", action="store_true",
-            help="persist completed runs durably and skip any already in "
-            f"the store (default store: {DEFAULT_STORE})",
-        )
-        p.add_argument(
-            "--store", default=None, metavar="DIR",
-            help="result-store directory (implies result persistence)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="process-pool size (default: CPUs this process may use)",
-        )
-        p.add_argument(
-            "--timeout", type=float, default=None, metavar="SECONDS",
-            help="per-run wall-clock deadline (parallel mode only)",
-        )
-        p.add_argument(
-            "--retries", type=int, default=2,
-            help="retries per run after a crash or timeout (default 2)",
-        )
-        p.add_argument(
-            "--strict", action="store_true",
-            help="fail fast on the first unrecoverable run failure",
-        )
+        add_campaign(p)
         p.add_argument(
             "--check-invariants", action="store_true",
             help="verify page-table/physmem invariants after init and "
@@ -1522,17 +1384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "runfile", help="run a workload described in the text format"
     )
     file_parser.add_argument("file")
-    file_parser.add_argument("--cpus", type=int, default=8)
-    file_parser.add_argument("--machine", choices=sorted(_MACHINES),
-                             default="sgi_base")
-    file_parser.add_argument("--scale", type=int, default=16)
-    file_parser.add_argument("--policy", default="page_coloring",
-                             choices=["page_coloring", "bin_hopping"])
-    file_parser.add_argument("--cdpc", action="store_true")
-    file_parser.add_argument("--prefetch", action="store_true")
-    file_parser.add_argument("--unaligned", action="store_true")
-    file_parser.add_argument("--fast", action="store_true")
-    file_parser.add_argument("--json", action="store_true")
+    add_common(file_parser, workload=False)
     return parser
 
 
@@ -1544,7 +1396,6 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
         "runfile": cmd_runfile,
         "faults": cmd_faults,
-        "bench": cmd_bench,
         "lint": cmd_lint,
         "predict": cmd_predict,
         "obs-check": cmd_obs_check,

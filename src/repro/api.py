@@ -2,17 +2,15 @@
 
 Historically every entry point took its own spelling of the same knobs:
 ``run_benchmark(name, config, options=...)``, sweeps taking
-``max_workers``, the bench taking ``options`` + ``max_workers``, the CLI
-taking ``--fast``/``--unaligned`` flags.  A :class:`Session` bundles one
-``(workload-or-program, MachineConfig, EngineOptions)`` triple and offers
-every operation on it:
+``max_workers``, the CLI taking ``--fast``/``--unaligned`` flags.  A
+:class:`Session` bundles one ``(workload-or-program, MachineConfig,
+EngineOptions)`` triple and offers every operation on it:
 
     from repro import Session
 
     session = Session("tomcatv", cpus=8)
     result = session.run()
     sweep = session.sweep()              # policy comparison
-    bench = session.bench(["tomcatv"])   # engine benchmark
 
 Keyword names are the :class:`EngineOptions` field names plus
 ``workers`` for pool sizing; anything else raises :class:`TypeError`.
@@ -24,7 +22,7 @@ existing callers and scripts.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Optional, Union
 
 from repro.compiler.ir import Program
 from repro.harness.campaign import Campaign, CampaignOptions, campaign_obs_report
@@ -236,28 +234,6 @@ class Session:
         if self.last_campaign is None:
             return None
         return campaign_obs_report(self.last_campaign, tracer=tracer)
-
-    def bench(
-        self,
-        workloads: Optional[Sequence[str]] = None,
-        *,
-        campaign: Optional[CampaignOptions] = None,
-        **kwargs: Any,
-    ) -> dict:
-        """Run the engine benchmark; returns the report payload."""
-        from repro.sim.bench import run_bench
-        from repro.workloads import WORKLOAD_NAMES
-
-        workers = kwargs.pop("workers", None)
-        if kwargs:
-            raise TypeError(f"unknown bench option(s): {', '.join(sorted(kwargs))}")
-        return run_bench(
-            self.config,
-            list(workloads) if workloads is not None else list(WORKLOAD_NAMES),
-            options=self.options,
-            max_workers=workers,
-            campaign=campaign,
-        )
 
     def serve(self, **service_options: Any) -> Any:
         """A :class:`repro.service.ColoringService` over this stack.

@@ -17,9 +17,8 @@ set completes.  ``repro.harness`` makes campaigns crash-safe:
   (:class:`TaskFailure`) and the :class:`CampaignReport` summary;
 * :mod:`repro.harness.campaign` — the orchestrator tying them together.
 
-The sweep helpers (:mod:`repro.sim.sweeps`), the engine benchmark
-(:mod:`repro.sim.bench`) and the ``python -m repro`` CLI all run on this
-layer.  Results are always assembled in task order, so a campaign that
+The sweep helpers (:mod:`repro.sim.sweeps`), the scenario runner and
+the ``python -m repro`` CLI all run on this layer.  Results are always assembled in task order, so a campaign that
 completes is indistinguishable from a serial run.
 """
 

@@ -209,7 +209,7 @@ class DynamicRecolorer:
         histogram = self.vm.color_histogram()
         return histogram.index(min(histogram))
 
-    def step(self, time_ns: float) -> tuple[list[RecolorEvent], float]:
+    def step(self) -> tuple[list[RecolorEvent], float]:
         """Inspect counters and migrate the worst pages.
 
         Returns the migrations performed and the total kernel cost.  The
@@ -460,7 +460,6 @@ class HintWatchdog:
     dynamic_recolor: bool = False
     recolor_threshold: int = 16
     recolor_max_per_step: int = 32
-    clock: Callable[[], float] = lambda: 0.0
     tracer: Tracer | NullTracer = NULL_TRACER  # one ``cdpc.replan`` span each
     tripped: bool = field(default=False, init=False)
     recolorer: Optional[DynamicRecolorer] = field(default=None, init=False)
@@ -483,7 +482,7 @@ class HintWatchdog:
     def at_boundary(self) -> None:
         """Phase boundary: the recolor step, then the watchdog judgment."""
         if self.recolorer is not None:
-            events, cost_ns = self.recolorer.step(self.clock())
+            events, cost_ns = self.recolorer.step()
             self.apply_migrations([event.vpage for event in events], cost_ns)
         if self.threshold is None or self.tripped:
             return

@@ -16,11 +16,11 @@ Three kinds exist:
   :class:`~repro.sim.results.RunResult`.
 * ``predict`` — the symbolic analyzer
   (:mod:`repro.checker.staticmiss`); no simulation, O(ms).
-* ``synthetic`` — a deterministic fake used by the load generator, the
-  chaos suite and the bench leg.  Its knobs can sleep, crash the worker
-  with a real ``SIGKILL`` (once, when given a scratch directory to
-  remember the first attempt in), hang past the watchdog deadline, or
-  raise — exactly the failure modes the robustness machinery must absorb.
+* ``synthetic`` — a deterministic fake used by the load generator and
+  the chaos suite.  Its knobs can sleep, crash the worker with a real
+  ``SIGKILL`` (once, when given a scratch directory to remember the first
+  attempt in), hang past the watchdog deadline, or raise — exactly the
+  failure modes the robustness machinery must absorb.
 """
 
 from __future__ import annotations

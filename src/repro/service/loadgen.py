@@ -19,8 +19,7 @@ for every single request by id:
 * **cache** — hit rate among successful answers.
 
 The report is plain JSON (``repro.service.loadgen/v1``), consumed by the
-CLI ``loadgen`` verb, the chaos test suite, the CI smoke job, and the
-``service_latency`` bench leg.
+CLI ``loadgen`` verb, the chaos test suite and the CI smoke job.
 """
 
 from __future__ import annotations

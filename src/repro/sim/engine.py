@@ -389,7 +389,6 @@ class _Simulation:
             dynamic_recolor=options.dynamic_recolor,
             recolor_threshold=options.recolor_threshold,
             recolor_max_per_step=options.recolor_max_per_step,
-            clock=lambda: self.clocks[0],
             tracer=self.obs.tracer,
         )
         if options.dynamic_recolor or threshold is not None:

@@ -4,18 +4,50 @@ import pytest
 
 from repro.__main__ import build_parser, main
 
+#: Defaults of the flags declared by the parser's shared helpers.
+ENGINE = {"policy": "page_coloring", "cdpc": False, "fast": False}
+CAMPAIGN = {
+    "progress": False, "resume": False, "store": None, "workers": None,
+    "timeout": None, "retries": 2, "strict": False,
+}
+
 
 class TestParser:
     def test_list_command(self):
         args = build_parser().parse_args(["list"])
         assert args.command == "list"
 
-    def test_run_defaults(self):
-        args = build_parser().parse_args(["run", "swim"])
-        assert args.cpus == 8
-        assert args.machine == "sgi_base"
-        assert args.scale == 16
-        assert not args.cdpc
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            pytest.param(["run", "swim"], {"cpus": 8, **ENGINE}, id="run"),
+            pytest.param(
+                ["sweep", "swim"], {"cpus": 8, **ENGINE, **CAMPAIGN}, id="sweep"
+            ),
+            pytest.param(["faults", "swim"], {"cpus": 8, **ENGINE}, id="faults"),
+            pytest.param(["lint"], {"cpus": 16}, id="lint"),
+            pytest.param(["predict"], {"cpus": 8}, id="predict"),
+            pytest.param(
+                ["scenario", "run"], {"cpus": 8, **CAMPAIGN}, id="scenario-run"
+            ),
+            pytest.param(
+                ["scenario", "sweep"], {"cpus": 8, **CAMPAIGN}, id="scenario-sweep"
+            ),
+            pytest.param(
+                ["runfile", "prog.workload"], {"cpus": 8, **ENGINE}, id="runfile"
+            ),
+        ],
+    )
+    def test_run_defaults(self, argv, expected):
+        args = vars(build_parser().parse_args(argv))
+        expected = {"machine": "sgi_base", "scale": 16, **expected}
+        assert {name: args[name] for name in expected} == expected
+
+    def test_bench_verb_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_run_flags(self):
         args = build_parser().parse_args(

@@ -1,4 +1,4 @@
-"""End-to-end observability tests: engine, harness, campaign rollup, bench."""
+"""End-to-end observability tests: engine, harness, campaign rollup."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from repro.harness import CampaignOptions, run_campaign
 from repro.harness.retry import RetryPolicy
 from repro.machine.config import sgi_base
 from repro.obs import ObsConfig, Tracer, validate_metrics, validate_trace
-from repro.sim.bench import run_bench
-from repro.sim.engine import EngineOptions, run_benchmark
+from repro.sim.engine import run_benchmark
 from repro.sim.tracegen import SimProfile
 
 
@@ -151,59 +150,3 @@ class TestCampaignRollup:
         session = Session("tomcatv", config=config, profile=FAST)
         session.sweep(policies=["page_coloring"], workers=1)
         assert session.sweep_obs_report() is None
-
-
-class TestBenchGuard:
-    def test_bit_identity_holds_with_metrics_enabled(self, config):
-        payload = run_bench(
-            config,
-            ["tomcatv"],
-            options=EngineOptions(profile=FAST, obs=ObsConfig()),
-            max_workers=1,
-        )
-        assert payload["divergences"] == []
-
-    def test_session_bench_delegate(self, config):
-        session = Session("tomcatv", config=config, profile=FAST)
-        payload = session.bench(workers=1)
-        assert payload["divergences"] == []
-        assert payload["benchmark"] == "figure6_policy_sweep"
-        assert "sampled" not in payload
-
-
-class TestBenchHistory:
-    PAYLOAD = {
-        "fast": {"refs_per_sec": 10.0},
-        "speedup": 2.0,
-        "speedup_warm": 3.0,
-    }
-
-    def test_write_appends_history_across_runs(self, tmp_path):
-        import json
-
-        from repro.sim.bench import write_bench
-
-        path = tmp_path / "BENCH_engine.json"
-        write_bench(dict(self.PAYLOAD), str(path))
-        first = json.loads(path.read_text())
-        assert len(first["history"]) == 1
-        entry = first["history"][0]
-        assert entry["refs_per_sec"] == 10.0
-        assert entry["speedup"] == 2.0
-        assert entry["speedup_warm"] == 3.0
-        assert "revision" in entry and "date" in entry
-
-        write_bench(dict(self.PAYLOAD), str(path))
-        second = json.loads(path.read_text())
-        assert len(second["history"]) == 2
-        assert second["history"][0] == first["history"][0]
-
-    def test_corrupt_previous_report_starts_fresh(self, tmp_path):
-        import json
-
-        from repro.sim.bench import write_bench
-
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text("{not json")
-        write_bench(dict(self.PAYLOAD), str(path))
-        assert len(json.loads(path.read_text())["history"]) == 1

@@ -239,7 +239,7 @@ class TestRecolorerRevocationRegression:
 
         recolorer.pre_remap_hook = revoke_mid_copy
         mapped_before = dict(vm.page_table.mappings())
-        events, cost = recolorer.step(0.0)
+        events, cost = recolorer.step()
         assert events == [] and cost == 0.0
         assert recolorer.aborted_steps == 1
         assert dict(vm.page_table.mappings()) == mapped_before
@@ -253,7 +253,7 @@ class TestRecolorerRevocationRegression:
         recolorer.pre_remap_hook = lambda *_: pm.revoke_frames(
             4, reclaim=False
         )
-        events, _ = recolorer.step(0.0)
+        events, _ = recolorer.step()
         assert events
         assert pm.frames_revoked_total >= 4
         check_invariants(vm, ms).raise_if_failed()

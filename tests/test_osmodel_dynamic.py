@@ -60,7 +60,7 @@ class TestRecolorer:
         provoke_conflicts(config, vm, ms, [0, 16, 32])
         old_colors = [vm.color_of_vpage(v) for v in (0, 16, 32)]
         assert len(set(old_colors)) == 1  # all on color 0
-        events, cost = recolorer.step(0.0)
+        events, cost = recolorer.step()
         assert events
         assert cost > 0
         migrated = {e.vpage for e in events}
@@ -77,7 +77,7 @@ class TestRecolorer:
         # the conflicts reach the external cache.
         provoke_conflicts(config, vm, ms, [0, 16, 32])
         free_before = vm.physmem.free_frames()
-        events, _ = recolorer.step(0.0)
+        events, _ = recolorer.step()
         assert events
         assert vm.physmem.free_frames() == free_before
 
@@ -85,12 +85,12 @@ class TestRecolorer:
         config, vm, ms, _ = build()
         recolorer = DynamicRecolorer(vm, ms, threshold=10_000)
         provoke_conflicts(config, vm, ms, [0, 16])
-        events, cost = recolorer.step(0.0)
+        events, cost = recolorer.step()
         assert events == [] and cost == 0.0
 
     def test_no_counters_no_cost(self):
         _, _, _, recolorer = build()
-        assert recolorer.step(0.0) == ([], 0.0)
+        assert recolorer.step() == ([], 0.0)
 
     def test_migration_cost_includes_all_processors(self):
         config, vm, ms, recolorer = build(num_cpus=2)
@@ -106,7 +106,7 @@ class TestRecolorer:
         provoke_conflicts(config, vm, ms, [0, 16, 32])
         mapped_before = dict(vm.page_table.mappings())
         vm.physmem.occupy_fraction(1.0, seed=0)  # drain every free frame
-        events, cost = recolorer.step(0.0)
+        events, cost = recolorer.step()
         assert events == [] and cost == 0.0
         assert recolorer.aborted_steps == 1
         # Transactionality: every page is still mapped, exactly as before.
@@ -118,7 +118,7 @@ class TestRecolorer:
         recolorer.on_degradation = lambda kind, detail: seen.append((kind, detail))
         provoke_conflicts(config, vm, ms, [0, 16, 32])
         vm.physmem.occupy_fraction(1.0, seed=0)
-        recolorer.step(0.0)
+        recolorer.step()
         assert seen and seen[0][0] == "aborted_recolor"
         assert "wanted_color" in seen[0][1]
 
@@ -126,12 +126,12 @@ class TestRecolorer:
         config, vm, ms, recolorer = build()
         provoke_conflicts(config, vm, ms, [0, 16, 32])
         taken = vm.physmem.occupy_fraction(1.0, seed=0)
-        recolorer.step(0.0)
+        recolorer.step()
         assert recolorer.aborted_steps == 1
         for frame in taken:
             vm.physmem.free(frame)
         provoke_conflicts(config, vm, ms, [0, 16, 32])
-        events, _ = recolorer.step(0.0)
+        events, _ = recolorer.step()
         assert events  # migration works again once memory is back
 
     def test_engine_integration(self):

@@ -62,12 +62,14 @@ class TestTraceCacheEngine:
 
     def test_repeat_run_hits_without_new_misses(self):
         cache = self._fresh()
-        run_benchmark("fpppp", CONFIG, FAST)
+        first = run_benchmark("fpppp", CONFIG, FAST)
         misses = cache.misses
         assert misses > 0
-        run_benchmark("fpppp", CONFIG, FAST)
+        second = run_benchmark("fpppp", CONFIG, FAST)
         assert cache.misses == misses  # every trace reused
         assert cache.hits > 0
+        # A stale cached trace must not change the result.
+        assert second.to_dict() == first.to_dict()
 
     def test_layout_change_invalidates(self):
         cache = self._fresh()
